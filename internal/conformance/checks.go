@@ -10,25 +10,14 @@ import (
 	"repro/internal/grid"
 )
 
-// Floating-point tolerance budgets, in units in the last place. Integer-
-// valued quantities — Dmax numerators (sums of uint64 curve distances,
-// divided by the power-of-two n), Λ_i sums, S_{A′} — are exact in float64
-// at every swept size and are compared with ulpsExact.
-const (
-	// ulpsExact: same value computed through the same accumulation order
-	// (oracle vs workers=1, reversal metamorphism, integer-valued sums).
-	ulpsExact = 0
-	// ulpsWorkerSweep: the same Kahan-compensated sum split into a
-	// different number of chunks. Kahan partials are correctly rounded to
-	// well under one ulp each, so regroupings land within a couple of ulps
-	// of each other.
-	ulpsWorkerSweep = 8
-	// ulpsIsometry: a full reordering of the per-cell terms (axis
-	// permutation and reflection permute the cell enumeration). Each term
-	// carries one rounding from the δavg division, so the budget scales
-	// with the accumulated-error headroom rather than chunk count.
-	ulpsIsometry = 1024
-)
+// ulpsExact is the tolerance, in units in the last place, of every NN
+// stretch comparison. The engines sum exact integers per degree class and
+// round the final quotient once, so Davg and Dmax are the correctly rounded
+// values of the paper's rational definitions: any worker count, the math/big
+// oracle, and any isometry of the grid (which only permutes the per-cell
+// terms) must agree bit-for-bit. Λ_i sums and S_{A′} are integer-valued and
+// exact in float64 at every swept size.
+const ulpsExact = 0
 
 // relEps is the relative slack for closed-form and inequality comparisons
 // whose two sides are computed through different float expressions.
@@ -87,9 +76,8 @@ func checkDeterminism(cx *caseCtx) (Status, string) {
 	return Pass, ""
 }
 
-// checkWorkerSweep verifies the deterministic parallel reduction across the
-// configured worker counts: Dmax (integer-valued) must match exactly, Davg
-// within the worker-sweep ulp budget.
+// checkWorkerSweep verifies that both metrics are bit-identical across the
+// configured worker counts.
 func checkWorkerSweep(cx *caseCtx) (Status, string) {
 	base := core.NNStretchResult(cx.c, cx.cfg.Workers[0])
 	for _, w := range cx.cfg.Workers[1:] {
@@ -97,7 +85,7 @@ func checkWorkerSweep(cx *caseCtx) (Status, string) {
 		if nn.DMax != base.DMax {
 			return Fail, fmt.Sprintf("Dmax(workers=%d) = %.17g, workers=%d gives %.17g", w, nn.DMax, cx.cfg.Workers[0], base.DMax)
 		}
-		if st, msg := cmpULP(fmt.Sprintf("Davg(workers=%d vs %d)", w, cx.cfg.Workers[0]), nn.DAvg, base.DAvg, ulpsWorkerSweep); st != Pass {
+		if st, msg := cmpULP(fmt.Sprintf("Davg(workers=%d vs %d)", w, cx.cfg.Workers[0]), nn.DAvg, base.DAvg, ulpsExact); st != Pass {
 			return st, msg
 		}
 	}
@@ -130,9 +118,9 @@ func checkUnitStep(cx *caseCtx) (Status, string) {
 
 // --- Differential layer ---
 
-// checkSequentialOracle compares the independently-coded sequential sweep
-// against the parallel engine: bit-for-bit at workers = 1 (identical
-// accumulation order), within the worker-sweep budget at full parallelism.
+// checkSequentialOracle compares the independently-coded math/big oracle
+// against the engine, bit-for-bit both at workers = 1 and at full
+// parallelism.
 func checkSequentialOracle(cx *caseCtx) (Status, string) {
 	refAvg, refMax := refNNStretch(cx.c)
 	nn1 := core.NNStretchResult(cx.c, 1)
@@ -143,7 +131,7 @@ func checkSequentialOracle(cx *caseCtx) (Status, string) {
 		return st, msg
 	}
 	ex := cx.exact()
-	if st, msg := cmpULP("Davg oracle vs parallel", ex.DAvg, refAvg, ulpsWorkerSweep); st != Pass {
+	if st, msg := cmpULP("Davg oracle vs parallel", ex.DAvg, refAvg, ulpsExact); st != Pass {
 		return st, msg
 	}
 	return cmpULP("Dmax oracle vs parallel", ex.DMax, refMax, ulpsExact)
@@ -162,7 +150,7 @@ func checkTorusOracle(cx *caseCtx) (Status, string) {
 		return st, msg
 	}
 	nnP := core.NNStretchTorusResult(cx.c, 0)
-	if st, msg := cmpULP("torus Davg oracle vs parallel", nnP.DAvg, refAvg, ulpsWorkerSweep); st != Pass {
+	if st, msg := cmpULP("torus Davg oracle vs parallel", nnP.DAvg, refAvg, ulpsExact); st != Pass {
 		return st, msg
 	}
 	if st, msg := cmpULP("torus Dmax oracle vs parallel", nnP.DMax, refMax, ulpsExact); st != Pass {
@@ -170,7 +158,7 @@ func checkTorusOracle(cx *caseCtx) (Status, string) {
 	}
 	if cx.u.K() == 1 {
 		open := cx.exact()
-		if st, msg := cmpULP("torus vs open Davg at k=1", nn1.DAvg, open.DAvg, ulpsWorkerSweep); st != Pass {
+		if st, msg := cmpULP("torus vs open Davg at k=1", nn1.DAvg, open.DAvg, ulpsExact); st != Pass {
 			return st, msg
 		}
 		return cmpULP("torus vs open Dmax at k=1", nn1.DMax, open.DMax, ulpsExact)
@@ -532,7 +520,7 @@ func checkAxisPermutation(cx *caseCtx) (Status, string) {
 	if st, msg := cmpULP("Dmax under axis permutation", w.DMax, ex.DMax, ulpsExact); st != Pass {
 		return st, msg
 	}
-	return cmpULP("Davg under axis permutation", w.DAvg, ex.DAvg, ulpsIsometry)
+	return cmpULP("Davg under axis permutation", w.DAvg, ex.DAvg, ulpsExact)
 }
 
 // checkReflection verifies stretch invariance under reflecting every axis.
@@ -544,7 +532,7 @@ func checkReflection(cx *caseCtx) (Status, string) {
 	if st, msg := cmpULP("Dmax under reflection", w.DMax, ex.DMax, ulpsExact); st != Pass {
 		return st, msg
 	}
-	return cmpULP("Davg under reflection", w.DAvg, ex.DAvg, ulpsIsometry)
+	return cmpULP("Davg under reflection", w.DAvg, ex.DAvg, ulpsExact)
 }
 
 // checkReversal verifies stretch invariance under index reversal

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"math"
+	"math/big"
 
 	"repro/internal/core"
 	"repro/internal/curve"
@@ -16,91 +17,73 @@ func nnStretchEngine(c curve.Curve, workers int) core.NN {
 // refNNStretch is the sequential brute-force oracle for (Davg, Dmax): an
 // independently-coded single-pass sweep over the cells in Linear order,
 // enumerating neighbors through the grid package's callback API rather than
-// the engine's inlined dimension loop. It accumulates with the same
-// Kahan-compensated scheme the engine specifies, so its result must agree
-// bit-for-bit with core.NNStretch at workers = 1 — any divergence convicts
-// one of the two implementations.
+// the engine's inlined dimension loop. It adds each cell's sum/deg and max
+// as math/big rationals, so it shares none of the engine's integer
+// bookkeeping; the correctly rounded quotient must equal
+// core.NNStretchResult bit-for-bit at every worker count.
 func refNNStretch(c curve.Curve) (davg, dmax float64) {
+	u := c.Universe()
+	return refNN(c, func(p, _ grid.Point, visit func(q grid.Point)) {
+		u.Neighbors(p, func(_ int, q grid.Point) { visit(q) })
+	})
+}
+
+// refNNStretchTorus is the same oracle for the periodic-boundary engine,
+// with its own wraparound stepping: distinct cells at ±1 modulo the side,
+// so a 2-cycle contributes one neighbor and a 1-cycle none.
+func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
+	side := c.Universe().Side()
+	deltas := []uint32{1}
+	if side > 2 {
+		deltas = append(deltas, side-1)
+	}
+	return refNN(c, func(p, q grid.Point, visit func(q grid.Point)) {
+		copy(q, p)
+		for dim := range p {
+			for _, delta := range deltas {
+				if q[dim] = (p[dim] + delta) & (side - 1); q[dim] != p[dim] {
+					visit(q)
+				}
+			}
+			q[dim] = p[dim]
+		}
+	})
+}
+
+// refNN sums, over every cell p, the rationals Σ|Δ|/deg and max|Δ| of the
+// neighbors that neighbors(p, scratch, visit) visits, and returns both
+// totals divided by n, correctly rounded to float64.
+func refNN(c curve.Curve, neighbors func(p, scratch grid.Point, visit func(q grid.Point))) (davg, dmax float64) {
 	u := c.Universe()
 	n := u.N()
 	if n == 1 {
 		return 0, 0
 	}
-	var sumAvg, cAvg, sumMax, cMax float64
-	p := u.NewPoint()
+	sumAvg, sumMax := new(big.Rat), new(big.Rat)
+	p, q := u.NewPoint(), u.NewPoint()
 	for idx := uint64(0); idx < n; idx++ {
 		u.FromLinear(idx, p)
 		base := c.Index(p)
-		var sum, max uint64
-		deg := 0
-		u.Neighbors(p, func(_ int, q grid.Point) {
-			d := absDiff(base, c.Index(q))
-			sum += d
+		sum, max := new(big.Int), uint64(0)
+		deg := int64(0)
+		neighbors(p, q, func(nb grid.Point) {
+			d := absDiff(base, c.Index(nb))
+			sum.Add(sum, new(big.Int).SetUint64(d))
 			if d > max {
 				max = d
 			}
 			deg++
 		})
-		y := float64(sum)/float64(deg) - cAvg
-		t := sumAvg + y
-		cAvg = (t - sumAvg) - y
-		sumAvg = t
-
-		y = float64(max) - cMax
-		t = sumMax + y
-		cMax = (t - sumMax) - y
-		sumMax = t
-	}
-	return sumAvg / float64(n), sumMax / float64(n)
-}
-
-// refNNStretchTorus is the sequential oracle for the periodic-boundary
-// engine, mirroring core.NNStretchTorus's plain (uncompensated) per-chunk
-// accumulation over a single chunk so that workers = 1 must agree
-// bit-for-bit.
-func refNNStretchTorus(c curve.Curve) (davg, dmax float64) {
-	u := c.Universe()
-	n := u.N()
-	if n == 1 {
-		return 0, 0
-	}
-	side := u.Side()
-	d := u.D()
-	deltas := []uint32{1}
-	if side > 2 {
-		deltas = append(deltas, side-1)
-	}
-	var sumAvg, sumMax float64
-	p := u.NewPoint()
-	q := u.NewPoint()
-	for idx := uint64(0); idx < n; idx++ {
-		u.FromLinear(idx, p)
-		base := c.Index(p)
-		var sum, max uint64
-		deg := 0
-		copy(q, p)
-		for dim := 0; dim < d; dim++ {
-			for _, delta := range deltas {
-				q[dim] = (p[dim] + delta) & (side - 1)
-				if q[dim] == p[dim] {
-					continue
-				}
-				dd := absDiff(base, c.Index(q))
-				sum += dd
-				if dd > max {
-					max = dd
-				}
-				deg++
-			}
-			q[dim] = p[dim]
-		}
 		if deg == 0 {
 			continue
 		}
-		sumAvg += float64(sum) / float64(deg)
-		sumMax += float64(max)
+		sumAvg.Add(sumAvg, new(big.Rat).SetFrac(sum, big.NewInt(deg)))
+		sumMax.Add(sumMax, new(big.Rat).SetInt(new(big.Int).SetUint64(max)))
 	}
-	return sumAvg / float64(n), sumMax / float64(n)
+	cells := new(big.Rat).SetInt(new(big.Int).SetUint64(n))
+	davg, _ = sumAvg.Quo(sumAvg, cells).Float64()
+	dmax, _ = sumMax.Quo(sumMax, cells).Float64()
+	return davg, dmax
 }
 
 // absDiff returns |a − b| for curve indices.

@@ -17,14 +17,14 @@
 //
 // All exact computations run in parallel over contiguous chunks of the cell
 // index space with deterministic reductions (see the parallel package), so
-// repeated runs yield identical values. Pass workers <= 0 to use
-// GOMAXPROCS.
+// repeated runs yield identical values; the NN engines sum exact integers,
+// so their results do not depend on the worker count either. Pass
+// workers <= 0 to use GOMAXPROCS.
 package core
 
 import (
 	"repro/internal/curve"
 	"repro/internal/grid"
-	"repro/internal/parallel"
 )
 
 // DeltaAvgAt returns δavg_π(α) (Definition 1): the mean curve distance from
@@ -81,24 +81,14 @@ func DMax(c curve.Curve, workers int) float64 {
 	return NNStretchResult(c, workers).DMax
 }
 
-// NNStretch computes Davg(π) and Dmax(π) in a single parallel sweep over
-// all cells.
-//
-// Deprecated: use NNStretchResult, which returns the same values as a
-// core.NN instead of a bare pair.
-func NNStretch(c curve.Curve, workers int) (davg, dmax float64) {
-	r := NNStretchResult(c, workers)
-	return r.DAvg, r.DMax
-}
-
 // NNStretchResult computes Davg(π) and Dmax(π) in a single parallel sweep
-// over all cells. The arithmetic (Kahan-compensated per-chunk accumulation,
-// chunk-ordered reduction) is specified exactly; the conformance suite
-// checks it bit-for-bit against a sequential oracle. Curves with a kernel
-// fast path (curve.HasKernel) are swept with batched key evaluation — the
-// same per-cell integer aggregates in the same order, so the result is
-// bit-identical to the scalar sweep (the conformance kernel-sweep column
-// enforces this).
+// over all cells. The sums are exact integers (see nnSweep), so the result
+// is the correctly rounded value of the paper's rational definitions and is
+// bit-identical for every worker count; the conformance suite checks it
+// against an independent math/big oracle. Curves with a kernel fast path
+// (curve.HasKernel) are swept with batched key evaluation — the same
+// per-cell integer aggregates, so the result is bit-identical to the scalar
+// sweep (the conformance kernel-sweep column enforces this).
 func NNStretchResult(c curve.Curve, workers int) NN {
 	u := c.Universe()
 	n := u.N()
@@ -110,8 +100,7 @@ func NNStretchResult(c curve.Curve, workers int) NN {
 		q := u.NewPoint()
 		side := u.Side()
 		d := u.D()
-		var a nnAcc
-		var kahanAvgC, kahanMaxC float64
+		a := newNNAcc(d)
 		for idx := lo; idx < hi; idx++ {
 			u.FromLinear(idx, p)
 			base := c.Index(p)
@@ -140,35 +129,15 @@ func NNStretchResult(c curve.Curve, workers int) NN {
 					q[dim] = p[dim]
 				}
 			}
-			// Kahan-compensated accumulation of both running sums.
-			y := float64(sum)/float64(deg) - kahanAvgC
-			t := a.avg + y
-			kahanAvgC = (t - a.avg) - y
-			a.avg = t
-
-			y = float64(max) - kahanMaxC
-			t = a.max + y
-			kahanMaxC = (t - a.max) - y
-			a.max = t
+			a.byDeg[deg] = a.byDeg[deg].plus(sum)
+			a.max = a.max.plus(max)
 		}
 		return a
 	}
 	if curve.HasKernel(c) {
-		partial = nnKernelPartial(c, u)
+		partial = nnKernelPartial(c, u, false)
 	}
-	var sumAvg, sumMax, cAvg, cMax float64
-	for _, a := range parallel.MapRanges(n, workers, partial) {
-		y := a.avg - cAvg
-		t := sumAvg + y
-		cAvg = (t - sumAvg) - y
-		sumAvg = t
-
-		y = a.max - cMax
-		t = sumMax + y
-		cMax = (t - sumMax) - y
-		sumMax = t
-	}
-	return NN{DAvg: sumAvg / float64(n), DMax: sumMax / float64(n)}
+	return nnSweep(n, workers, u.D(), partial)
 }
 
 // absDiff returns |a − b| for curve indices.

@@ -97,7 +97,8 @@ func TestNNStretchMatchesBruteForce(t *testing.T) {
 	for _, dk := range [][2]int{{1, 5}, {2, 3}, {3, 2}, {4, 1}} {
 		u := grid.MustNew(dk[0], dk[1])
 		for _, c := range testCurves(t, u) {
-			avg, max := NNStretch(c, 4)
+			r := NNStretchResult(c, 4)
+			avg, max := r.DAvg, r.DMax
 			if want := bruteDAvg(c); math.Abs(avg-want) > 1e-9 {
 				t.Errorf("%s on %v: Davg = %v, brute %v", c.Name(), u, avg, want)
 			}
@@ -111,23 +112,30 @@ func TestNNStretchMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNNStretchWorkerInvariance pins both NN engines bit-for-bit across
+// worker counts for every registered curve, on universes large enough
+// (n > 4096) that the sweep really splits into chunks.
 func TestNNStretchWorkerInvariance(t *testing.T) {
-	u := grid.MustNew(2, 5)
-	z := curve.NewZ(u)
-	avg1, max1 := NNStretch(z, 1)
-	for _, w := range []int{2, 3, 8} {
-		avg, max := NNStretch(z, w)
-		if avg != avg1 || max != max1 {
-			t.Fatalf("workers=%d: (%v,%v) != (%v,%v)", w, avg, max, avg1, max1)
+	for _, dk := range [][2]int{{1, 14}, {2, 7}, {3, 5}} {
+		u := grid.MustNew(dk[0], dk[1])
+		for _, c := range testCurves(t, u) {
+			open1, torus1 := NNStretchResult(c, 1), NNStretchTorusResult(c, 1)
+			for _, w := range []int{2, 3, 8} {
+				if open := NNStretchResult(c, w); open != open1 {
+					t.Errorf("%s on %v, workers=%d: %+v, workers=1 gives %+v", c.Name(), u, w, open, open1)
+				}
+				if torus := NNStretchTorusResult(c, w); torus != torus1 {
+					t.Errorf("%s on %v, workers=%d: torus %+v, workers=1 gives %+v", c.Name(), u, w, torus, torus1)
+				}
+			}
 		}
 	}
 }
 
 func TestSingleCellStretchIsZero(t *testing.T) {
 	u := grid.MustNew(3, 0)
-	avg, max := NNStretch(curve.NewZ(u), 1)
-	if avg != 0 || max != 0 {
-		t.Fatalf("single cell stretch (%v, %v)", avg, max)
+	if r := NNStretchResult(curve.NewZ(u), 1); r != (NN{}) {
+		t.Fatalf("single cell stretch %+v", r)
 	}
 }
 
@@ -230,7 +238,8 @@ func TestSimpleCurveMatchesClosedForms(t *testing.T) {
 		d, k := dk[0], dk[1]
 		u := grid.MustNew(d, k)
 		s := curve.NewSimple(u)
-		avg, max := NNStretch(s, 3)
+		r := NNStretchResult(s, 3)
+		avg, max := r.DAvg, r.DMax
 		if want := bounds.SimpleDAvgExact(d, k); math.Abs(avg-want) > 1e-9 {
 			t.Errorf("d=%d k=%d: Davg(S) = %v, closed form %v", d, k, avg, want)
 		}
@@ -246,7 +255,7 @@ func TestStretchInvariantUnderIsometries(t *testing.T) {
 	// leave them unchanged.
 	u := grid.MustNew(3, 2)
 	base := curve.NewZ(u)
-	avg0, max0 := NNStretch(base, 2)
+	r0 := NNStretchResult(base, 2)
 	perm, err := curve.NewAxisPermuted(base, []int{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -256,9 +265,8 @@ func TestStretchInvariantUnderIsometries(t *testing.T) {
 		curve.NewReflected(base, 0b111),
 		curve.NewReversed(base),
 	} {
-		avg, max := NNStretch(c, 2)
-		if math.Abs(avg-avg0) > 1e-9 || math.Abs(max-max0) > 1e-9 {
-			t.Errorf("%s: stretch (%v,%v) != base (%v,%v)", c.Name(), avg, max, avg0, max0)
+		if r := NNStretchResult(c, 2); r != r0 {
+			t.Errorf("%s: stretch %+v != base %+v", c.Name(), r, r0)
 		}
 	}
 }

@@ -8,19 +8,16 @@ import (
 // Kernelized sweep partials: when the curve advertises a batch/neighbor-key
 // fast path (curve.HasKernel), the exact engines process cells in
 // chunk-local blocks — one batched encode for the cells' own keys, then one
-// NeighborKeys call per cell — instead of a FromLinear + 1+2d interface
-// Index calls per cell. The per-cell integer aggregates (sum, max, degree)
-// and the chunk-ordered floating-point accumulation are identical to the
-// scalar partials, so the results are bit-for-bit the same; the conformance
+// NeighborKeysBlock call for their neighbors — instead of a FromLinear and
+// 1+2d interface Index calls per cell. The per-cell integer aggregates
+// (sum, max, degree) and their exact totals are identical to the scalar
+// partials, so the results are bit-for-bit the same; the conformance
 // engine's kernel-sweep column enforces that permanently.
 
 // kernelBlock is the number of cells whose coordinates and keys are staged
 // per batch: big enough to amortize dispatch, small enough that the staging
 // buffers (12 bytes per cell at d=3) stay in L1.
 const kernelBlock = 256
-
-// nnAcc carries one chunk's running totals of the NN sweeps.
-type nnAcc struct{ avg, max float64 }
 
 // fillBlockCoords writes the coordinates of the cells with Linear indices
 // [lo, lo+cnt) into coords, row-major, by decoding the first cell and
@@ -66,37 +63,53 @@ func accumulate(base, nb uint64, sum, max uint64, deg int) (uint64, uint64, int)
 	return sum, max, deg + 1
 }
 
-// cellAggregate reduces one cell's neighbor-key row to its integer
-// (sum, max, degree) triple. The d = 2, 3 rows are unrolled: the reduction
-// runs once per cell of every exact sweep, and at ~20 surviving ops per cell
-// the loop bookkeeping itself is measurable.
-func cellAggregate(base uint64, row []uint64) (sum, max uint64, deg int) {
-	switch len(row) {
-	case 4:
-		sum, max, deg = accumulate(base, row[0], sum, max, deg)
-		sum, max, deg = accumulate(base, row[1], sum, max, deg)
-		sum, max, deg = accumulate(base, row[2], sum, max, deg)
-		sum, max, deg = accumulate(base, row[3], sum, max, deg)
-	case 6:
-		sum, max, deg = accumulate(base, row[0], sum, max, deg)
-		sum, max, deg = accumulate(base, row[1], sum, max, deg)
-		sum, max, deg = accumulate(base, row[2], sum, max, deg)
-		sum, max, deg = accumulate(base, row[3], sum, max, deg)
-		sum, max, deg = accumulate(base, row[4], sum, max, deg)
-		sum, max, deg = accumulate(base, row[5], sum, max, deg)
-	default:
-		for _, nb := range row {
-			sum, max, deg = accumulate(base, nb, sum, max, deg)
+// addBlock adds the cells of one block to a: cell j has key bases[j] and
+// neighbor keys keys[j*nd : (j+1)*nd]. The d = 2, 3 rows are unrolled and
+// the loop makes no calls: it runs once per cell of every exact sweep, and
+// at ~20 surviving ops per cell the loop bookkeeping itself is measurable.
+// Most cells have the full degree nd, so that class and the maxima are
+// summed in locals, which keeps their carry chains in registers rather
+// than in a load-add-store loop through a.byDeg.
+func (a *nnAcc) addBlock(bases, keys []uint64, nd int) {
+	var full, maxes u128
+	for j, base := range bases {
+		row := keys[j*nd : (j+1)*nd : (j+1)*nd]
+		var sum, max uint64
+		deg := 0
+		switch nd {
+		case 4:
+			sum, max, deg = accumulate(base, row[0], sum, max, deg)
+			sum, max, deg = accumulate(base, row[1], sum, max, deg)
+			sum, max, deg = accumulate(base, row[2], sum, max, deg)
+			sum, max, deg = accumulate(base, row[3], sum, max, deg)
+		case 6:
+			sum, max, deg = accumulate(base, row[0], sum, max, deg)
+			sum, max, deg = accumulate(base, row[1], sum, max, deg)
+			sum, max, deg = accumulate(base, row[2], sum, max, deg)
+			sum, max, deg = accumulate(base, row[3], sum, max, deg)
+			sum, max, deg = accumulate(base, row[4], sum, max, deg)
+			sum, max, deg = accumulate(base, row[5], sum, max, deg)
+		default:
+			for _, nb := range row {
+				sum, max, deg = accumulate(base, nb, sum, max, deg)
+			}
 		}
+		if deg == nd {
+			full = full.plus(sum)
+		} else {
+			a.byDeg[deg] = a.byDeg[deg].plus(sum)
+		}
+		maxes = maxes.plus(max)
 	}
-	return sum, max, deg
+	a.byDeg[nd] = a.byDeg[nd].plusU128(full)
+	a.max = a.max.plusU128(maxes)
 }
 
-// nnKernelPartial is the kernelized chunk worker behind NNStretchResult.
-// It reproduces the scalar partial's arithmetic exactly: per cell the
-// integer (sum, max, degree) over valid neighbors, then Kahan-compensated
-// accumulation of sum/degree and max in Linear cell order.
-func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc {
+// nnKernelPartial is the kernelized chunk worker behind NNStretchResult
+// and, with torus set, NNStretchTorusResult: per cell the integer (sum, max,
+// degree) over valid neighbors, added to the same exact totals as the
+// scalar partials.
+func nnKernelPartial(c curve.Curve, u *grid.Universe, torus bool) func(lo, hi uint64) nnAcc {
 	d := u.D()
 	return func(lo, hi uint64) nnAcc {
 		b := curve.NewBatcher(c)
@@ -105,8 +118,7 @@ func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc 
 		coords := make([]uint32, kernelBlock*d)
 		bases := make([]uint64, kernelBlock)
 		keys := make([]uint64, kernelBlock*nd)
-		var a nnAcc
-		var kahanAvgC, kahanMaxC float64
+		a := newNNAcc(d)
 		for blo := lo; blo < hi; blo += kernelBlock {
 			cnt := kernelBlock
 			if rem := hi - blo; rem < kernelBlock {
@@ -114,53 +126,12 @@ func nnKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc 
 			}
 			fillBlockCoords(u, blo, cnt, coords)
 			b.IndexBatch(coords[:cnt*d], bases[:cnt])
-			nk.NeighborKeysBlock(coords[:cnt*d], bases[:cnt], keys[:cnt*nd])
-			for j := 0; j < cnt; j++ {
-				sum, max, deg := cellAggregate(bases[j], keys[j*nd:(j+1)*nd:(j+1)*nd])
-				y := float64(sum)/float64(deg) - kahanAvgC
-				t := a.avg + y
-				kahanAvgC = (t - a.avg) - y
-				a.avg = t
-
-				y = float64(max) - kahanMaxC
-				t = a.max + y
-				kahanMaxC = (t - a.max) - y
-				a.max = t
+			if torus {
+				nk.NeighborKeysTorusBlock(coords[:cnt*d], bases[:cnt], keys[:cnt*nd])
+			} else {
+				nk.NeighborKeysBlock(coords[:cnt*d], bases[:cnt], keys[:cnt*nd])
 			}
-		}
-		return a
-	}
-}
-
-// nnTorusKernelPartial is the kernelized chunk worker behind
-// NNStretchTorusResult; like the scalar torus partial it accumulates with
-// plain (uncompensated) adds and skips degree-zero cells.
-func nnTorusKernelPartial(c curve.Curve, u *grid.Universe) func(lo, hi uint64) nnAcc {
-	d := u.D()
-	return func(lo, hi uint64) nnAcc {
-		b := curve.NewBatcher(c)
-		nk := curve.NewNeighborKeyer(c)
-		nd := 2 * d
-		coords := make([]uint32, kernelBlock*d)
-		bases := make([]uint64, kernelBlock)
-		keys := make([]uint64, kernelBlock*nd)
-		var a nnAcc
-		for blo := lo; blo < hi; blo += kernelBlock {
-			cnt := kernelBlock
-			if rem := hi - blo; rem < kernelBlock {
-				cnt = int(rem)
-			}
-			fillBlockCoords(u, blo, cnt, coords)
-			b.IndexBatch(coords[:cnt*d], bases[:cnt])
-			nk.NeighborKeysTorusBlock(coords[:cnt*d], bases[:cnt], keys[:cnt*nd])
-			for j := 0; j < cnt; j++ {
-				sum, max, deg := cellAggregate(bases[j], keys[j*nd:(j+1)*nd:(j+1)*nd])
-				if deg == 0 {
-					continue
-				}
-				a.avg += float64(sum) / float64(deg)
-				a.max += float64(max)
-			}
+			a.addBlock(bases[:cnt], keys[:cnt*nd], nd)
 		}
 		return a
 	}

@@ -18,7 +18,7 @@ func BenchmarkNNSweep(b *testing.B) {
 	}{
 		{"z", 2, 10}, {"z", 3, 7},
 		{"snake", 2, 10},
-		{"hilbert", 2, 10},
+		{"hilbert", 2, 10}, {"hilbert", 3, 7},
 	} {
 		u := grid.MustNew(tc.d, tc.k)
 		c, err := curve.ByName(tc.name, u, 1)

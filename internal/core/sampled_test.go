@@ -12,7 +12,8 @@ import (
 func TestSampledNNStretchApproximatesExact(t *testing.T) {
 	u := grid.MustNew(2, 6)
 	z := curve.NewZ(u)
-	exactAvg, exactMax := NNStretch(z, 2)
+	exact := NNStretchResult(z, 2)
+	exactAvg, exactMax := exact.DAvg, exact.DMax
 	est, err := SampledNNStretch(z, 40000, 3)
 	if err != nil {
 		t.Fatal(err)

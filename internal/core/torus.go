@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/curve"
 	"repro/internal/grid"
-	"repro/internal/parallel"
 )
 
 // NNStretchTorus computes Davg and Dmax under *periodic* boundary
@@ -36,7 +35,7 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 	partial := func(lo, hi uint64) nnAcc {
 		p := u.NewPoint()
 		q := u.NewPoint()
-		var a nnAcc
+		a := newNNAcc(u.D())
 		for idx := lo; idx < hi; idx++ {
 			u.FromLinear(idx, p)
 			base := c.Index(p)
@@ -53,21 +52,13 @@ func NNStretchTorusResult(c curve.Curve, workers int) NN {
 				}
 				deg++
 			})
-			if deg == 0 {
-				continue
-			}
-			a.avg += float64(sum) / float64(deg)
-			a.max += float64(max)
+			a.byDeg[deg] = a.byDeg[deg].plus(sum)
+			a.max = a.max.plus(max)
 		}
 		return a
 	}
 	if curve.HasKernel(c) {
-		partial = nnTorusKernelPartial(c, u)
+		partial = nnKernelPartial(c, u, true)
 	}
-	var sumAvg, sumMax float64
-	for _, a := range parallel.MapRanges(n, workers, partial) {
-		sumAvg += a.avg
-		sumMax += a.max
-	}
-	return NN{DAvg: sumAvg / float64(n), DMax: sumMax / float64(n)}
+	return nnSweep(n, workers, u.D(), partial)
 }

@@ -37,8 +37,8 @@ type Batcher interface {
 // NeighborKeyer computes the curve indices of a cell's 2d axis neighbors in
 // one call — the hot operation of every nearest-neighbor stretch sweep. For
 // the Z curve the keys come straight from dilated-integer arithmetic on the
-// cell's own key; for batch-capable curves they come from one batched encode
-// of the neighbor block; the scalar fallback simply loops Curve.Index.
+// cell's own key; for the Hilbert curve they re-walk only the state-machine
+// levels a unit step changes; the scalar fallback simply loops Curve.Index.
 //
 // Instances returned by NewNeighborKeyer may carry scratch buffers and are
 // NOT safe for concurrent use: create one per goroutine. Implementations
@@ -90,25 +90,15 @@ func NewBatcher(c Curve) Batcher {
 }
 
 // NewNeighborKeyer returns a neighbor-key kernel for c: the curve's own
-// implementation when it is a native NeighborKeyer, a batched-encode adapter
-// when it is a Batcher, and a scalar adapter otherwise. The returned value
-// is not safe for concurrent use; create one per goroutine.
+// implementation when it is a native NeighborKeyer, and a scalar adapter
+// otherwise. The returned value is not safe for concurrent use; create one
+// per goroutine.
 func NewNeighborKeyer(c Curve) NeighborKeyer {
 	if nk, ok := c.(NeighborKeyer); ok {
 		return nk
 	}
 	u := c.Universe()
-	d := u.D()
-	if b, ok := c.(Batcher); ok {
-		return &batchKeyer{
-			b:      b,
-			d:      d,
-			side:   u.Side(),
-			coords: make([]uint32, 2*d*d),
-			ok:     make([]bool, 2*d),
-		}
-	}
-	return &scalarKeyer{c: c, d: d, side: u.Side(), q: u.NewPoint()}
+	return &scalarKeyer{c: c, d: u.D(), side: u.Side(), q: u.NewPoint()}
 }
 
 // scalarBatcher adapts any Curve to the Batcher interface by looping the
@@ -132,101 +122,6 @@ func (s *scalarBatcher) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
-// batchKeyer derives neighbor keys from one batched encode of the 2d
-// neighbor points per cell.
-type batchKeyer struct {
-	b      Batcher
-	d      int
-	side   uint32
-	coords []uint32 // 2d rows of d coords
-	ok     []bool   // per-slot validity, parallel to keys
-}
-
-// grow resizes the scratch buffers to hold `slots` neighbor rows and returns
-// the coordinate and validity views.
-func (bk *batchKeyer) grow(slots int) ([]uint32, []bool) {
-	if cap(bk.coords) < slots*bk.d {
-		bk.coords = make([]uint32, slots*bk.d)
-	}
-	if cap(bk.ok) < slots {
-		bk.ok = make([]bool, slots)
-	}
-	return bk.coords[:slots*bk.d], bk.ok[:slots]
-}
-
-// stageNeighbors writes the 2d neighbor coordinate rows of p into nc starting
-// at row slot0, recording per-slot validity. Torus selects wrapping semantics.
-func (bk *batchKeyer) stageNeighbors(p grid.Point, nc []uint32, okv []bool, slot0 int, torus bool) {
-	d, side := bk.d, bk.side
-	for dim := 0; dim < d; dim++ {
-		s := slot0 + 2*dim
-		lo := nc[s*d : (s+1)*d]
-		hi := nc[(s+1)*d : (s+2)*d]
-		copy(lo, p)
-		copy(hi, p)
-		if torus {
-			if okv[s] = side > 2; okv[s] {
-				lo[dim] = (p[dim] + side - 1) & (side - 1)
-			}
-			if okv[s+1] = side > 1; okv[s+1] {
-				hi[dim] = (p[dim] + 1) & (side - 1)
-			}
-		} else {
-			if okv[s] = p[dim] > 0; okv[s] {
-				lo[dim]--
-			}
-			if okv[s+1] = p[dim]+1 < side; okv[s+1] {
-				hi[dim]++
-			}
-		}
-	}
-}
-
-func (bk *batchKeyer) keysOne(p grid.Point, keys []uint64, torus bool) {
-	nc, okv := bk.grow(2 * bk.d)
-	bk.stageNeighbors(p, nc, okv, 0, torus)
-	bk.b.IndexBatch(nc, keys[:2*bk.d])
-	for i, ok := range okv {
-		if !ok {
-			keys[i] = InvalidKey
-		}
-	}
-}
-
-// keysBlock stages every cell's neighbor rows and resolves them with a single
-// batched encode — for curves with an expensive scalar Index (Hilbert) the
-// one big IndexBatch is the entire point of the kernel layer.
-func (bk *batchKeyer) keysBlock(coords []uint32, bases []uint64, keys []uint64, torus bool) {
-	d := bk.d
-	cnt := len(bases)
-	nc, okv := bk.grow(2 * d * cnt)
-	for j := 0; j < cnt; j++ {
-		bk.stageNeighbors(grid.Point(coords[j*d:(j+1)*d]), nc, okv, j*2*d, torus)
-	}
-	bk.b.IndexBatch(nc, keys[:2*d*cnt])
-	for i, ok := range okv {
-		if !ok {
-			keys[i] = InvalidKey
-		}
-	}
-}
-
-func (bk *batchKeyer) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	bk.keysOne(p, keys, false)
-}
-
-func (bk *batchKeyer) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	bk.keysOne(p, keys, true)
-}
-
-func (bk *batchKeyer) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {
-	bk.keysBlock(coords, bases, keys, false)
-}
-
-func (bk *batchKeyer) NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64) {
-	bk.keysBlock(coords, bases, keys, true)
-}
-
 // scalarKeyer loops Curve.Index over the existing neighbors.
 type scalarKeyer struct {
 	c    Curve
@@ -235,43 +130,42 @@ type scalarKeyer struct {
 	q    grid.Point
 }
 
-func (sk *scalarKeyer) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
-	copy(sk.q, p)
-	for dim := 0; dim < sk.d; dim++ {
-		if p[dim] > 0 {
-			sk.q[dim] = p[dim] - 1
-			keys[2*dim] = sk.c.Index(sk.q)
+// scalarNeighborKeys fills keys with the 2d neighbor keys of p by calling
+// c.Index on each stepped point, using q as scratch. Torus selects the
+// periodic convention of NeighborKeysTorus.
+func scalarNeighborKeys(c Curve, side uint32, p, q grid.Point, keys []uint64, torus bool) {
+	copy(q, p)
+	for dim := range p {
+		keys[2*dim], keys[2*dim+1] = InvalidKey, InvalidKey
+		if torus {
+			if side > 2 {
+				q[dim] = (p[dim] + side - 1) & (side - 1)
+				keys[2*dim] = c.Index(q)
+			}
+			if side > 1 {
+				q[dim] = (p[dim] + 1) & (side - 1)
+				keys[2*dim+1] = c.Index(q)
+			}
 		} else {
-			keys[2*dim] = InvalidKey
+			if p[dim] > 0 {
+				q[dim] = p[dim] - 1
+				keys[2*dim] = c.Index(q)
+			}
+			if p[dim]+1 < side {
+				q[dim] = p[dim] + 1
+				keys[2*dim+1] = c.Index(q)
+			}
 		}
-		if p[dim]+1 < sk.side {
-			sk.q[dim] = p[dim] + 1
-			keys[2*dim+1] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim+1] = InvalidKey
-		}
-		sk.q[dim] = p[dim]
+		q[dim] = p[dim]
 	}
 }
 
+func (sk *scalarKeyer) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
+	scalarNeighborKeys(sk.c, sk.side, p, sk.q, keys, false)
+}
+
 func (sk *scalarKeyer) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
-	side := sk.side
-	copy(sk.q, p)
-	for dim := 0; dim < sk.d; dim++ {
-		if side > 2 {
-			sk.q[dim] = (p[dim] + side - 1) & (side - 1)
-			keys[2*dim] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim] = InvalidKey
-		}
-		if side > 1 {
-			sk.q[dim] = (p[dim] + 1) & (side - 1)
-			keys[2*dim+1] = sk.c.Index(sk.q)
-		} else {
-			keys[2*dim+1] = InvalidKey
-		}
-		sk.q[dim] = p[dim]
-	}
+	scalarNeighborKeys(sk.c, sk.side, p, sk.q, keys, true)
 }
 
 func (sk *scalarKeyer) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {

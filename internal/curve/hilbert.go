@@ -64,10 +64,11 @@ func (h *Hilbert) Point(idx uint64, dst grid.Point) {
 	transposeToAxes(dst, k)
 }
 
-// IndexBatch implements Batcher: LUT Morton spread of the coordinates
-// followed by the per-level state-machine walk, replacing the scalar path's
-// bit-serial rotate/reflect loop. Falls back to the scalar method when the
-// state table is unavailable.
+// IndexBatch implements Batcher: LUT Morton spread of the coordinates,
+// then the state-machine walk, restarted for each point at the highest
+// level where its Morton key differs from the previous point's (see
+// hilbertWalk). Falls back to the scalar method when the state table is
+// unavailable.
 func (h *Hilbert) IndexBatch(coords []uint32, dst []uint64) {
 	d, k := h.u.D(), h.u.K()
 	tab := h.tab
@@ -77,18 +78,33 @@ func (h *Hilbert) IndexBatch(coords []uint32, dst []uint64) {
 		}
 		return
 	}
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	h.mortonKeys(coords, dst, 1)
+	w := newWalk(k)
+	for i, mkey := range dst {
+		dst[i] = tab.walk(&w, mkey)
+	}
+}
+
+// mortonKeys writes the Morton key of point i of coords to dst[i*stride].
+func (h *Hilbert) mortonKeys(coords []uint32, dst []uint64, stride int) {
+	d, k := h.u.D(), h.u.K()
+	n := len(coords) / d
 	switch {
 	case d == 2:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave2LUT(coords[2*i], coords[2*i+1]), k)
+		for i := 0; i < n; i++ {
+			dst[i*stride] = bits.Interleave2LUT(coords[2*i], coords[2*i+1])
 		}
 	case d == 3 && k <= 20:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave3LUT(coords[3*i], coords[3*i+1], coords[3*i+2]), k)
+		for i := 0; i < n; i++ {
+			dst[i*stride] = bits.Interleave3LUT(coords[3*i], coords[3*i+1], coords[3*i+2])
 		}
 	default:
-		for i := range dst {
-			dst[i] = tab.encode(bits.Interleave(grid.Point(coords[i*d:(i+1)*d:(i+1)*d]), k), k)
+		for i := 0; i < n; i++ {
+			dst[i*stride] = bits.Interleave(grid.Point(coords[i*d:(i+1)*d:(i+1)*d]), k)
 		}
 	}
 }
@@ -120,9 +136,88 @@ func (h *Hilbert) PointBatch(indices []uint64, dst []uint32) {
 	}
 }
 
+// NeighborKeys implements NeighborKeyer. A neighbor's Morton key differs
+// from the cell's only in the levels a ±1 step carries through, so its
+// Hilbert key keeps the cell's digits above those levels and walks the rest
+// from the cell's saved state (see hilbertTable.neighbor). The receiver
+// carries no mutable state, so the keyer is safe to share across
+// goroutines.
+func (h *Hilbert) NeighborKeys(p grid.Point, base uint64, keys []uint64) {
+	bases := [1]uint64{base}
+	h.neighborKeysBlock(p, bases[:], keys, false)
+}
+
+// NeighborKeysTorus implements NeighborKeyer; a wrap side−1 ↔ 0 is the
+// step that changes every level.
+func (h *Hilbert) NeighborKeysTorus(p grid.Point, base uint64, keys []uint64) {
+	bases := [1]uint64{base}
+	h.neighborKeysBlock(p, bases[:], keys, true)
+}
+
+// NeighborKeysBlock implements NeighborKeyer.
+func (h *Hilbert) NeighborKeysBlock(coords []uint32, bases []uint64, keys []uint64) {
+	h.neighborKeysBlock(coords, bases, keys, false)
+}
+
+// NeighborKeysTorusBlock implements NeighborKeyer.
+func (h *Hilbert) NeighborKeysTorusBlock(coords []uint32, bases []uint64, keys []uint64) {
+	h.neighborKeysBlock(coords, bases, keys, true)
+}
+
+// neighborKeysBlock walks the block's cells in order, each from the prefix
+// state its predecessor left, and derives the 2d neighbor keys of each from
+// its own saved states. A cell's Morton key is staged in the first slot of
+// its output row until the row is written.
+func (h *Hilbert) neighborKeysBlock(coords []uint32, bases []uint64, keys []uint64, torus bool) {
+	d, k, side := h.u.D(), h.u.K(), h.u.Side()
+	nd := 2 * d
+	tab := h.tab
+	if tab == nil {
+		q := h.u.NewPoint()
+		for j := range bases {
+			scalarNeighborKeys(h, side, grid.Point(coords[j*d:(j+1)*d]), q, keys[j*nd:(j+1)*nd], torus)
+		}
+		return
+	}
+	if k == 0 {
+		for i := range keys[:len(bases)*nd] {
+			keys[i] = InvalidKey
+		}
+		return
+	}
+	h.mortonKeys(coords[:len(bases)*d], keys, nd)
+	w := newWalk(k)
+	mask := side - 1
+	for j, base := range bases {
+		row := keys[j*nd : (j+1)*nd : (j+1)*nd]
+		tab.walk(&w, row[0])
+		p := coords[j*d : (j+1)*d : (j+1)*d]
+		for dim, c := range p {
+			lo, hi := InvalidKey, InvalidKey
+			if torus {
+				if side > 2 {
+					lo = tab.neighbor(&w, base, dim, c^((c-1)&mask))
+				}
+				if side > 1 {
+					hi = tab.neighbor(&w, base, dim, c^((c+1)&mask))
+				}
+			} else {
+				if c > 0 {
+					lo = tab.neighbor(&w, base, dim, c^(c-1))
+				}
+				if c < mask {
+					hi = tab.neighbor(&w, base, dim, c^(c+1))
+				}
+			}
+			row[2*dim], row[2*dim+1] = lo, hi
+		}
+	}
+}
+
 var (
-	_ Curve   = (*Hilbert)(nil)
-	_ Batcher = (*Hilbert)(nil)
+	_ Curve         = (*Hilbert)(nil)
+	_ Batcher       = (*Hilbert)(nil)
+	_ NeighborKeyer = (*Hilbert)(nil)
 )
 
 // axesToTranspose converts grid coordinates (k bits each) into Skilling's

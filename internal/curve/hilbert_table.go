@@ -1,6 +1,7 @@
 package curve
 
 import (
+	mathbits "math/bits"
 	"sync"
 
 	"repro/internal/bits"
@@ -11,7 +12,7 @@ import (
 // compact Hilbert indices: instead of Skilling's bit-serial rotate/reflect
 // loop, encode one d-bit level per step through a precomputed state machine.
 // A state is the signed bit-permutation (axis relabeling + reflections) the
-// recursion applies inside the current orthant; enc[state][tuple] yields the
+// recursion applies inside the current orthant; enc[state<<d | tuple] yields the
 // level's curve digit and the child state in one lookup.
 //
 // Rather than hard-coding the tables for the specific curve variant, the
@@ -40,39 +41,100 @@ const maxHilbertVerifyCells = 1 << 16
 
 type hilbertTable struct {
 	d   int
-	enc [][]uint32 // enc[state][tuple] = nextState<<d | digit
-	dec [][]uint32 // dec[state][digit] = nextState<<d | tuple
+	enc []uint32 // enc[state<<d | tuple] = nextState<<d | digit
+	dec []uint32 // dec[state<<d | digit] = nextState<<d | tuple
+	// dimMask[i] selects coordinate i's bit in every d-bit group of a
+	// Morton key (bit d−1−i of each group), over all 64 bits.
+	dimMask []uint64
+	// levelOf[b] is the level of Morton key bit b−1, (b−1)/d, and 0 for
+	// b = 0: it spares walk an integer division per key.
+	levelOf [65]uint8
 }
 
-// encode maps a Morton key (k levels of d-bit groups, most significant
-// level first) to the Hilbert key.
-func (ht *hilbertTable) encode(mkey uint64, k int) uint64 {
-	d := uint(ht.d)
-	dmask := uint64(1)<<d - 1
-	var key uint64
-	state := uint32(0)
-	for level := k - 1; level >= 0; level-- {
-		tuple := (mkey >> (uint(level) * d)) & dmask
-		e := ht.enc[state][tuple]
-		key = key<<d | uint64(e)&dmask
-		state = e >> d
-	}
-	return key
-}
+// Both tables store a state as its row offset state<<d, so the entry read
+// at one level, with its low d bits cleared, is the row of the next level:
+// a walk is one load, one mask and one or per level.
 
 // decode maps a Hilbert key back to the Morton key of its cell.
 func (ht *hilbertTable) decode(key uint64, k int) uint64 {
 	d := uint(ht.d)
-	dmask := uint64(1)<<d - 1
+	dmask := uint32(1)<<d - 1
 	var mkey uint64
-	state := uint32(0)
+	row := uint32(0)
 	for level := k - 1; level >= 0; level-- {
-		digit := (key >> (uint(level) * d)) & dmask
-		e := ht.dec[state][digit]
-		mkey |= (uint64(e) & dmask) << (uint(level) * d)
-		state = e >> d
+		e := ht.dec[row|uint32(key>>(uint(level)*d))&dmask]
+		mkey = mkey<<d | uint64(e&dmask)
+		row = e &^ dmask
 	}
 	return mkey
+}
+
+// hilbertWalk is the prefix state of the last key a walk encoded: the
+// state row entering every level and the key itself. Consecutive cells of
+// a sweep share the high levels of their Morton keys, and so the states and
+// digits of those levels; walk re-encodes only the level of the highest
+// changed bit and the levels below it (Holzmüller, "Efficient Neighbor-Finding on Space-Filling
+// Curves"). The value lives on its caller's stack, so table users stay safe
+// to share across goroutines.
+type hilbertWalk struct {
+	rows [bits.MaxKeyBits]uint32 // rows[l]: state row entering level l
+	mkey uint64                  // Morton key of the last walked cell
+	key  uint64                  // its Hilbert key
+	top  int                     // k − 1, the most significant level
+}
+
+// newWalk returns a walk over k ≥ 1 levels whose first step encodes the
+// whole key.
+func newWalk(k int) hilbertWalk {
+	return hilbertWalk{mkey: ^uint64(0), top: k - 1}
+}
+
+// walk moves w to the cell with Morton key mkey and returns its Hilbert
+// key, walking only the levels at and below the highest bit in which mkey
+// differs from the previous cell's.
+func (ht *hilbertTable) walk(w *hilbertWalk, mkey uint64) uint64 {
+	d := uint(ht.d)
+	dmask := uint32(1)<<d - 1
+	top := int(ht.levelOf[mathbits.Len64(mkey^w.mkey)])
+	if top > w.top {
+		top = w.top
+	}
+	key := w.key >> (uint(top+1) * d)
+	row := w.rows[top]
+	for level := top; ; level-- {
+		e := ht.enc[row|uint32(mkey>>(uint(level)*d))&dmask]
+		key = key<<d | uint64(e&dmask)
+		if level == 0 {
+			break
+		}
+		row = e &^ dmask
+		w.rows[level-1] = row
+	}
+	w.mkey, w.key = mkey, key
+	return key
+}
+
+// neighbor returns the Hilbert key of the cell one step along dimension
+// dim from the cell w last walked, whose key is base. x is the xor of the
+// old and new coordinate: for a ±1 step, wrap included, it is 2^(L+1) − 1,
+// where L is the highest level the step changes. Above L the neighbor
+// shares the cell's digits and states, so only levels L..0 are walked,
+// from the saved state row at L, with the coordinate's tuple bit flipped.
+func (ht *hilbertTable) neighbor(w *hilbertWalk, base uint64, dim int, x uint32) uint64 {
+	d := uint(ht.d)
+	dmask := uint32(1)<<d - 1
+	top := mathbits.Len32(x) - 1
+	sh := uint(top+1) * d
+	mkey := w.mkey ^ ht.dimMask[dim]&(uint64(1)<<sh-1)
+	key := base >> sh
+	row := w.rows[top]
+	for sh > 0 {
+		sh -= d
+		e := ht.enc[row|uint32(mkey>>sh)&dmask]
+		key = key<<d | uint64(e&dmask)
+		row = e &^ dmask
+	}
+	return key
 }
 
 // signedPerm is a state of the machine: out bit a = in bit sig[a], xor
@@ -223,7 +285,7 @@ func buildHilbertTable(d int) *hilbertTable {
 	}
 	states := []signedPerm{identity}
 	index := map[string]uint32{identity.key(): 0}
-	var enc, dec [][]uint32
+	var enc, dec []uint32
 	for si := 0; si < len(states); si++ {
 		s := states[si]
 		encRow := make([]uint32, size)
@@ -245,14 +307,24 @@ func buildHilbertTable(d int) *hilbertTable {
 			encRow[T] = ni<<uint(d) | digit
 			decRow[digit] = ni<<uint(d) | T
 		}
-		enc = append(enc, encRow)
-		dec = append(dec, decRow)
+		enc = append(enc, encRow...)
+		dec = append(dec, decRow...)
 	}
 
+	tab := &hilbertTable{d: d, enc: enc, dec: dec, dimMask: make([]uint64, d)}
+	for i := range tab.dimMask {
+		for b := d - 1 - i; b < 64; b += d {
+			tab.dimMask[i] |= 1 << uint(b)
+		}
+	}
+	for b := 1; b < len(tab.levelOf); b++ {
+		tab.levelOf[b] = uint8((b - 1) / d)
+	}
 	// Verify the machine against the scalar implementation by full
 	// enumeration at every small k — in particular k=3, the first depth at
 	// which the composition rule (not just the probes) carries the result.
-	tab := &hilbertTable{d: d, enc: enc, dec: dec}
+	// The cells are walked in Linear order, so the incremental restarts of
+	// walk are checked along with the table.
 	for k := 1; d*k <= bits.MaxKeyBits; k++ {
 		u := grid.MustNew(d, k)
 		if u.N() > maxHilbertVerifyCells {
@@ -260,11 +332,11 @@ func buildHilbertTable(d int) *hilbertTable {
 		}
 		h := &Hilbert{u: u}
 		q := make(grid.Point, d)
+		w := newWalk(k)
 		for lin := uint64(0); lin < u.N(); lin++ {
 			u.FromLinear(lin, p)
-			mkey := bits.Interleave(p, k)
 			want := h.Index(p)
-			if tab.encode(mkey, k) != want {
+			if tab.walk(&w, bits.Interleave(p, k)) != want {
 				return nil
 			}
 			h.Point(want, q)
