@@ -138,28 +138,19 @@ func run(ctx context.Context, cfg config, ready func(addr string), w io.Writer) 
 			MaxBackoff:  50 * time.Millisecond,
 		})}
 		transports[i] = "json"
-		var nodeOpts []cluster.ClientNodeOption
 		if cfg.wireMode == "auto" {
 			// Per-node upgrade with per-node fallback: a member that does
-			// not advertise a wire listener (older build, flag unset) is
-			// spoken to over JSON; the rest get the binary transport. A
-			// member advertising a wire listener WITHOUT the write
-			// capability (an older read-only-wire build) still upgrades its
-			// reads, but writes degrade gracefully to a JSON side client —
-			// sending it TPut frames would only get the connection dropped.
+			// not advertise a wire listener (flag unset) is spoken to over
+			// JSON; the rest get the binary transport for reads and writes.
 			dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 			info, found, err := client.New(nu).WireInfo(dctx)
 			cancel()
 			if err == nil && found && info.Addr != "" {
 				opts = append(opts, client.WithTransport(&client.BinaryTransport{Addr: info.Addr}))
 				transports[i] = "binary:" + info.Addr
-				if cfg.writeQuorum >= 1 && !info.Write {
-					nodeOpts = append(nodeOpts, cluster.WithNodeWriteClient(client.New(nu)))
-					transports[i] += "+json-writes"
-				}
 			}
 		}
-		nodes[i] = cluster.NewClientNode(client.New(nu, opts...), nodeOpts...)
+		nodes[i] = cluster.NewClientNode(client.New(nu, opts...))
 	}
 	reg := metrics.NewRegistry()
 	rt, err := cluster.NewRouter(topo, nodes,
@@ -324,20 +315,20 @@ func (h *routerHTTP) serve(w http.ResponseWriter, r *http.Request, do func(conte
 		}
 		return
 	}
-	out := server.QueryResponse{
-		Records:       make([]server.WireRecord, len(res.Records)),
+	out := wiretext.QueryResponse{
+		Records:       make([]wiretext.WireRecord, len(res.Records)),
 		ShardsQueried: res.NodesQueried,
 		PagesRead:     res.PagesRead,
 		Complete:      res.Complete(),
 		ElapsedUS:     time.Since(start).Microseconds(),
 	}
 	for i, rec := range res.Records {
-		out.Records[i] = server.WireRecord{Point: rec.Point, Payload: rec.Payload}
+		out.Records[i] = wiretext.WireRecord{Point: rec.Point, Payload: rec.Payload}
 	}
 	if len(res.Unavailable) > 0 {
-		out.Unavailable = make([]server.WireInterval, len(res.Unavailable))
+		out.Unavailable = make([]wiretext.WireInterval, len(res.Unavailable))
 		for i, iv := range res.Unavailable {
-			out.Unavailable[i] = server.WireInterval{Lo: iv.Lo, Hi: iv.Hi}
+			out.Unavailable[i] = wiretext.WireInterval{Lo: iv.Lo, Hi: iv.Hi}
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -368,7 +359,7 @@ func (h *routerHTTP) serveWrite(w http.ResponseWriter, r *http.Request, do func(
 		h.fail(w, http.StatusServiceUnavailable, errors.New("router draining"))
 		return
 	}
-	var req server.WriteRequest
+	var req wiretext.WriteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		h.fail(w, http.StatusBadRequest, fmt.Errorf("body: %w", err))
 		return
@@ -379,7 +370,7 @@ func (h *routerHTTP) serveWrite(w http.ResponseWriter, r *http.Request, do func(
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(server.WriteResponse{
+	json.NewEncoder(w).Encode(wiretext.WriteResponse{
 		OK: true, Acked: res.Acked, Required: res.Required, Missed: res.Missed,
 	})
 }
@@ -400,7 +391,7 @@ func (h *routerHTTP) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(server.WriteResponse{OK: true})
+	json.NewEncoder(w).Encode(wiretext.WriteResponse{OK: true})
 }
 
 // failWrite maps a routed-write failure onto the daemon's status-code
@@ -455,7 +446,7 @@ func (h *routerHTTP) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (h *routerHTTP) fail(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(server.ErrorResponse{Error: err.Error()})
+	json.NewEncoder(w).Encode(wiretext.ErrorResponse{Error: err.Error()})
 }
 
 // handleReadyz is ready while not draining; a fully dark cluster still

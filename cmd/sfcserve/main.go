@@ -47,9 +47,9 @@ import (
 	"repro/internal/grid"
 	"repro/internal/profiling"
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/store"
+	wiretext "repro/internal/wire/text"
 )
 
 type config struct {
@@ -92,8 +92,6 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "service worker pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.clients, "clients", 4, "concurrent client goroutines")
 	flag.IntVar(&cfg.cache, "cache", 0, "decomposition cache entries (0 = default, negative = off)")
-	var cacheSize int
-	flag.IntVar(&cacheSize, "cachesize", 0, "decomposition cache entries, 0 = disabled (cold scans); overrides -cache when given")
 	flag.BoolVar(&cfg.cold, "cold", false, "also replay with the cache disabled and record warm + cold sections")
 	flag.IntVar(&cfg.distinct, "distinct", 512, "distinct boxes in the trace population")
 	flag.Float64Var(&cfg.zipfS, "zipf", 1.2, "zipf exponent of the box popularity (s > 1)")
@@ -110,17 +108,6 @@ func main() {
 	flag.BoolVar(&cfg.compress, "compress", false, "remote: with -stream, also replay with per-frame compression negotiated")
 	flag.IntVar(&cfg.writes, "writes", 0, "remote: also replay this many puts per selected transport (the daemon must run with -data)")
 	flag.Parse()
-	// -cachesize is the cold-cache dial: unlike -cache, an explicit 0 means
-	// "no cache at all", so every query pays the full decomposition + scan.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "cachesize" {
-			if cacheSize <= 0 {
-				cfg.cache = -1
-			} else {
-				cfg.cache = cacheSize
-			}
-		}
-	})
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -265,11 +252,11 @@ func (cfg config) public() map[string]any {
 // count and cache capacity, returning the measured result plus the metrics
 // report.
 func replay(c curve.Curve, recs []store.Record, boxes []query.Box, cfg config, shards, cache int) (replayResult, string, error) {
-	svc, err := service.New(c, recs, service.Config{
-		Shards:    shards,
-		Workers:   cfg.workers,
-		CacheSize: cache,
-	})
+	opts := []service.Option{service.WithShards(shards), service.WithCacheSize(cache)}
+	if cfg.workers != 0 {
+		opts = append(opts, service.WithWorkers(cfg.workers))
+	}
+	svc, err := service.New(c, recs, opts...)
 	if err != nil {
 		return replayResult{}, "", err
 	}
@@ -516,7 +503,7 @@ func replayRemote(ctx context.Context, cfg config, boxes []query.Box, cl *client
 				if stream {
 					complete, err = drainStreamed(ctx, cfg, cl, boxes[zipf.Uint64()], t0, &ttfb)
 				} else {
-					var resp server.QueryResponse
+					var resp wiretext.QueryResponse
 					resp, err = cl.QueryBox(ctx, boxes[zipf.Uint64()], client.WithTimeout(cfg.rtimeout))
 					complete = resp.Complete
 					if err == nil {

@@ -79,7 +79,7 @@ func main() {
 		}
 		// The second argument is the per-request deadline the server
 		// propagates into its scan; the client retries 429/503 with backoff.
-		resp, err := cl.Query(ctx, b, 5*time.Second)
+		resp, err := cl.QueryBox(ctx, b, client.WithTimeout(5*time.Second))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -46,7 +47,7 @@ func ExtIO(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := store.Bulkload(c, recs, store.Config{PageSize: 32, Fanout: 16})
+		st, err := store.Bulkload(c, recs, store.WithPageSize(32), store.WithFanout(16))
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +59,9 @@ func ExtIO(cfg Config) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				st.BoxQuery(b)
+				if _, err := st.ScanBox(context.Background(), b); err != nil {
+					return nil, err
+				}
 			}
 		}
 		boxStats := st.Stats()

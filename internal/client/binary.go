@@ -12,9 +12,9 @@ import (
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/wire"
+	wiretext "repro/internal/wire/text"
 )
 
 // DefaultDialTimeout bounds each binary-transport connection attempt.
@@ -104,10 +104,10 @@ func (t *BinaryTransport) conn(ctx context.Context) (*binConn, error) {
 
 // Query implements Transport: one pipelined box query, response stream
 // drained into a buffered QueryResponse.
-func (t *BinaryTransport) Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error) {
+func (t *BinaryTransport) Query(ctx context.Context, b query.Box, timeout time.Duration) (wiretext.QueryResponse, error) {
 	st, err := t.QueryStream(ctx, b, timeout)
 	if err != nil {
-		return server.QueryResponse{}, err
+		return wiretext.QueryResponse{}, err
 	}
 	defer st.Close()
 	return st.Collect()
@@ -129,10 +129,10 @@ func (t *BinaryTransport) QueryStream(ctx context.Context, b query.Box, timeout 
 
 // Scan implements Transport: a streaming scan drained into a buffered
 // QueryResponse.
-func (t *BinaryTransport) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error) {
+func (t *BinaryTransport) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (wiretext.QueryResponse, error) {
 	st, err := t.ScanStream(ctx, ivs, timeout)
 	if err != nil {
-		return server.QueryResponse{}, err
+		return wiretext.QueryResponse{}, err
 	}
 	defer st.Close()
 	return st.Collect()
@@ -153,37 +153,37 @@ func (t *BinaryTransport) ScanStream(ctx context.Context, ivs []query.Interval, 
 }
 
 // Put implements Transport: one TPut frame, answered by a TWriteAck.
-func (t *BinaryTransport) Put(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
+func (t *BinaryTransport) Put(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error) {
 	return t.doWrite(ctx, wire.TPut, rec, timeout)
 }
 
 // Delete implements Transport: one TDelete frame, answered by a TWriteAck.
-func (t *BinaryTransport) Delete(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
+func (t *BinaryTransport) Delete(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error) {
 	return t.doWrite(ctx, wire.TDelete, rec, timeout)
 }
 
 // Flush implements Transport: one TFlush frame, answered by a TWriteAck.
-func (t *BinaryTransport) Flush(ctx context.Context, timeout time.Duration) (server.WriteResponse, error) {
+func (t *BinaryTransport) Flush(ctx context.Context, timeout time.Duration) (wiretext.WriteResponse, error) {
 	eff, err := effectiveTimeout(ctx, timeout)
 	if err != nil {
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	payload, err := wire.AppendFlushRequest(nil, wire.FlushRequest{Timeout: eff})
 	if err != nil {
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	return t.roundTripWrite(ctx, wire.TFlush, payload)
 }
 
 // doWrite encodes and round-trips one TPut/TDelete request.
-func (t *BinaryTransport) doWrite(ctx context.Context, ftype uint8, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
+func (t *BinaryTransport) doWrite(ctx context.Context, ftype uint8, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error) {
 	eff, err := effectiveTimeout(ctx, timeout)
 	if err != nil {
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	payload, err := wire.AppendWriteRequest(nil, wire.WriteRequest{Point: rec.Point, Payload: rec.Payload, Timeout: eff})
 	if err != nil {
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	return t.roundTripWrite(ctx, ftype, payload)
 }
@@ -197,17 +197,17 @@ func (t *BinaryTransport) doWrite(ctx context.Context, ftype uint8, rec store.Re
 // touching state (shed, draining, read-only) are the server marking the
 // attempt safe to repeat or terminal; deadline and internal failures are
 // maybe-applied.
-func (t *BinaryTransport) roundTripWrite(ctx context.Context, ftype uint8, payload []byte) (server.WriteResponse, error) {
+func (t *BinaryTransport) roundTripWrite(ctx context.Context, ftype uint8, payload []byte) (wiretext.WriteResponse, error) {
 	bc, err := t.conn(ctx)
 	if err != nil {
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	pr, sent, err := bc.sendClassified(ftype, payload)
 	if err != nil {
 		if sent {
-			return server.WriteResponse{}, maybeApplied(err)
+			return wiretext.WriteResponse{}, maybeApplied(err)
 		}
-		return server.WriteResponse{}, err
+		return wiretext.WriteResponse{}, err
 	}
 	defer pr.cancel()
 	f, err := pr.wait(ctx, bc)
@@ -218,22 +218,22 @@ func (t *BinaryTransport) roundTripWrite(ctx context.Context, ftype uint8, paylo
 		if errors.As(err, &re) {
 			err = re.Err
 		}
-		return server.WriteResponse{}, maybeApplied(err)
+		return wiretext.WriteResponse{}, maybeApplied(err)
 	}
 	switch f.Type {
 	case wire.TWriteAck:
 		ack, err := wire.DecodeWriteAckPayload(f.Payload)
 		if err != nil {
 			bc.fail(err)
-			return server.WriteResponse{}, maybeApplied(err)
+			return wiretext.WriteResponse{}, maybeApplied(err)
 		}
-		return server.WriteResponse{OK: true, Acked: ack.Acked, Required: ack.Required}, nil
+		return wiretext.WriteResponse{OK: true, Acked: ack.Acked, Required: ack.Required}, nil
 	case wire.TError:
-		return server.WriteResponse{}, writeErrorFromFrame(bc, f)
+		return wiretext.WriteResponse{}, writeErrorFromFrame(bc, f)
 	default:
 		err := fmt.Errorf("client: unexpected frame type 0x%02x answering write", f.Type)
 		bc.fail(err)
-		return server.WriteResponse{}, maybeApplied(err)
+		return wiretext.WriteResponse{}, maybeApplied(err)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/server"
+	wiretext "repro/internal/wire/text"
 )
 
 // ErrOverloaded is the sentinel wrapped by errors reporting that the server
@@ -202,9 +202,9 @@ func (c *Client) Stats() Stats {
 // shed, draining — are retried within the policy's budget, honoring a
 // Retry-After hint over the computed backoff. A response that was
 // partially consumed fails immediately: the attempt is not repeatable.
-func (c *Client) QueryBox(ctx context.Context, b query.Box, opts ...CallOption) (server.QueryResponse, error) {
+func (c *Client) QueryBox(ctx context.Context, b query.Box, opts ...CallOption) (wiretext.QueryResponse, error) {
 	o := applyCallOpts(opts)
-	return doRetry(ctx, c, func(ctx context.Context) (server.QueryResponse, error) {
+	return doRetry(ctx, c, func(ctx context.Context) (wiretext.QueryResponse, error) {
 		return c.tr.Query(ctx, b, o.timeout)
 	})
 }
@@ -214,9 +214,9 @@ func (c *Client) QueryBox(ctx context.Context, b query.Box, opts ...CallOption) 
 // curve ranges it holds. Intervals must be non-empty, in-range, sorted,
 // and disjoint or the server rejects the request. Retry semantics are
 // identical to QueryBox's.
-func (c *Client) ScanIntervals(ctx context.Context, ivs []query.Interval, opts ...CallOption) (server.QueryResponse, error) {
+func (c *Client) ScanIntervals(ctx context.Context, ivs []query.Interval, opts ...CallOption) (wiretext.QueryResponse, error) {
 	o := applyCallOpts(opts)
-	return doRetry(ctx, c, func(ctx context.Context) (server.QueryResponse, error) {
+	return doRetry(ctx, c, func(ctx context.Context) (wiretext.QueryResponse, error) {
 		return c.tr.Scan(ctx, ivs, o.timeout)
 	})
 }
@@ -243,21 +243,6 @@ func (c *Client) QueryBoxStream(ctx context.Context, b query.Box, opts ...CallOp
 	return doRetry(ctx, c, func(ctx context.Context) (*Stream, error) {
 		return c.tr.QueryStream(ctx, b, o.timeout)
 	})
-}
-
-// Query answers the box query with a positional server-side timeout.
-//
-// Deprecated: use QueryBox with WithTimeout.
-func (c *Client) Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error) {
-	return c.QueryBox(ctx, b, WithTimeout(timeout))
-}
-
-// Scan answers a raw curve-interval scan with a positional server-side
-// timeout.
-//
-// Deprecated: use ScanIntervals with WithTimeout.
-func (c *Client) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error) {
-	return c.ScanIntervals(ctx, ivs, WithTimeout(timeout))
 }
 
 // doRetry runs one logical query through the bounded retry loop: attempts

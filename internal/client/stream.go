@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/wire"
+	wiretext "repro/internal/wire/text"
 )
 
 // Stream is the iterator a streaming scan yields: record batches in curve
@@ -86,19 +86,19 @@ func (s *Stream) Close() error {
 
 // Collect drains the stream into a single QueryResponse — the bridge from
 // the streaming API back to the buffered one.
-func (s *Stream) Collect() (server.QueryResponse, error) {
-	var out server.QueryResponse
+func (s *Stream) Collect() (wiretext.QueryResponse, error) {
+	var out wiretext.QueryResponse
 	for {
 		batch, err := s.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return server.QueryResponse{}, err
+			return wiretext.QueryResponse{}, err
 		}
 		out.Records = slices.Grow(out.Records, len(batch))
 		for _, r := range batch {
-			out.Records = append(out.Records, server.WireRecord{Point: r.Point, Payload: r.Payload})
+			out.Records = append(out.Records, wiretext.WireRecord{Point: r.Point, Payload: r.Payload})
 		}
 	}
 	tr, _ := s.Trailer()
@@ -107,9 +107,9 @@ func (s *Stream) Collect() (server.QueryResponse, error) {
 	out.PagesRead = tr.PagesRead
 	out.Complete = tr.Complete()
 	if len(tr.Unavailable) > 0 {
-		out.Unavailable = make([]server.WireInterval, len(tr.Unavailable))
+		out.Unavailable = make([]wiretext.WireInterval, len(tr.Unavailable))
 		for i, iv := range tr.Unavailable {
-			out.Unavailable[i] = server.WireInterval{Lo: iv.Lo, Hi: iv.Hi}
+			out.Unavailable[i] = wiretext.WireInterval{Lo: iv.Lo, Hi: iv.Hi}
 		}
 	}
 	return out, nil
@@ -117,7 +117,7 @@ func (s *Stream) Collect() (server.QueryResponse, error) {
 
 // newBufferedStream replays an already-fetched QueryResponse as a
 // one-batch stream — the JSON transport's streaming shim.
-func newBufferedStream(resp server.QueryResponse) *Stream {
+func newBufferedStream(resp wiretext.QueryResponse) *Stream {
 	sent := false
 	s := &Stream{}
 	s.recv = func(s *Stream) ([]store.Record, error) {
@@ -138,7 +138,7 @@ func newBufferedStream(resp server.QueryResponse) *Stream {
 
 // trailerFromResponse lifts a buffered response's summary fields into the
 // wire trailer shape.
-func trailerFromResponse(resp server.QueryResponse) wire.Trailer {
+func trailerFromResponse(resp wiretext.QueryResponse) wire.Trailer {
 	t := wire.Trailer{
 		ShardsQueried: resp.ShardsQueried,
 		PagesRead:     resp.PagesRead,

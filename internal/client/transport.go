@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/store"
 	wiretext "repro/internal/wire/text"
 )
@@ -40,9 +39,9 @@ const DefaultMaxResponseBytes = int64(1) << 30
 type Transport interface {
 	// Query performs one attempt of a box query. timeout > 0 is the
 	// server-side deadline to request; ctx bounds the attempt client-side.
-	Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error)
+	Query(ctx context.Context, b query.Box, timeout time.Duration) (wiretext.QueryResponse, error)
 	// Scan performs one attempt of a raw curve-interval scan.
-	Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error)
+	Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (wiretext.QueryResponse, error)
 	// ScanStream opens one attempt of a streaming scan. A returned Stream
 	// means the server accepted the request; later failures surface from
 	// Stream.Next and are not retried by the Client.
@@ -53,12 +52,12 @@ type Transport interface {
 	// Put performs one attempt of a durable record insert. Failures after
 	// the request may have left the client are *MaybeAppliedError, never
 	// plain retryable — puts are not idempotent.
-	Put(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error)
+	Put(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error)
 	// Delete performs one attempt of a durable record delete, with the
 	// same classification contract as Put.
-	Delete(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error)
+	Delete(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error)
 	// Flush performs one attempt of a full-daemon memtable flush.
-	Flush(ctx context.Context, timeout time.Duration) (server.WriteResponse, error)
+	Flush(ctx context.Context, timeout time.Duration) (wiretext.WriteResponse, error)
 	// Close releases the transport's persistent resources.
 	Close() error
 }
@@ -113,7 +112,7 @@ func (t *JSONTransport) maxBody() int64 {
 }
 
 // Query implements Transport.
-func (t *JSONTransport) Query(ctx context.Context, b query.Box, timeout time.Duration) (server.QueryResponse, error) {
+func (t *JSONTransport) Query(ctx context.Context, b query.Box, timeout time.Duration) (wiretext.QueryResponse, error) {
 	v := url.Values{}
 	v.Set("lo", wiretext.FormatPoint(b.Lo))
 	v.Set("hi", wiretext.FormatPoint(b.Hi))
@@ -124,7 +123,7 @@ func (t *JSONTransport) Query(ctx context.Context, b query.Box, timeout time.Dur
 }
 
 // Scan implements Transport.
-func (t *JSONTransport) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (server.QueryResponse, error) {
+func (t *JSONTransport) Scan(ctx context.Context, ivs []query.Interval, timeout time.Duration) (wiretext.QueryResponse, error) {
 	v := url.Values{}
 	v.Set("ivs", wiretext.FormatIntervals(ivs))
 	if timeout > 0 {
@@ -154,17 +153,17 @@ func (t *JSONTransport) QueryStream(ctx context.Context, b query.Box, timeout ti
 }
 
 // Put implements Transport: POST /put.
-func (t *JSONTransport) Put(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
-	return t.postWrite(ctx, "/put", &server.WriteRequest{Point: rec.Point, Payload: rec.Payload}, timeout)
+func (t *JSONTransport) Put(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error) {
+	return t.postWrite(ctx, "/put", &wiretext.WriteRequest{Point: rec.Point, Payload: rec.Payload}, timeout)
 }
 
 // Delete implements Transport: POST /delete.
-func (t *JSONTransport) Delete(ctx context.Context, rec store.Record, timeout time.Duration) (server.WriteResponse, error) {
-	return t.postWrite(ctx, "/delete", &server.WriteRequest{Point: rec.Point, Payload: rec.Payload}, timeout)
+func (t *JSONTransport) Delete(ctx context.Context, rec store.Record, timeout time.Duration) (wiretext.WriteResponse, error) {
+	return t.postWrite(ctx, "/delete", &wiretext.WriteRequest{Point: rec.Point, Payload: rec.Payload}, timeout)
 }
 
 // Flush implements Transport: POST /flush.
-func (t *JSONTransport) Flush(ctx context.Context, timeout time.Duration) (server.WriteResponse, error) {
+func (t *JSONTransport) Flush(ctx context.Context, timeout time.Duration) (wiretext.WriteResponse, error) {
 	return t.postWrite(ctx, "/flush", nil, timeout)
 }
 
@@ -176,7 +175,7 @@ func (t *JSONTransport) Flush(ctx context.Context, timeout time.Duration) (serve
 // — the WAL may already hold the write. The HTTP write endpoints take no
 // ?timeout parameter, so the requested server-side deadline is enforced
 // client-side instead.
-func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server.WriteRequest, timeout time.Duration) (server.WriteResponse, error) {
+func (t *JSONTransport) postWrite(ctx context.Context, path string, body *wiretext.WriteRequest, timeout time.Duration) (wiretext.WriteResponse, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -186,13 +185,13 @@ func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return server.WriteResponse{}, fmt.Errorf("client: %w", err)
+			return wiretext.WriteResponse{}, fmt.Errorf("client: %w", err)
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(t.Base, "/")+path, rd)
 	if err != nil {
-		return server.WriteResponse{}, fmt.Errorf("client: %w", err)
+		return wiretext.WriteResponse{}, fmt.Errorf("client: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := t.hc().Do(req)
@@ -200,20 +199,20 @@ func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server
 		if ctx.Err() != nil {
 			// The caller's deadline (or the requested timeout) ended the
 			// attempt; whether the server applied the write is unknowable.
-			return server.WriteResponse{}, maybeApplied(fmt.Errorf("client: %w", ctx.Err()))
+			return wiretext.WriteResponse{}, maybeApplied(fmt.Errorf("client: %w", ctx.Err()))
 		}
 		if isDialError(err) {
 			// The connection was never established; nothing reached the
 			// server.
-			return server.WriteResponse{}, retryable(err)
+			return wiretext.WriteResponse{}, retryable(err)
 		}
-		return server.WriteResponse{}, maybeApplied(err)
+		return wiretext.WriteResponse{}, maybeApplied(err)
 	}
 	limit := t.maxBody()
 	rbody, readErr := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	resp.Body.Close()
 	if int64(len(rbody)) > limit {
-		return server.WriteResponse{}, fmt.Errorf("%w: body exceeds %d bytes (status %d)", ErrResponseTooLarge, limit, resp.StatusCode)
+		return wiretext.WriteResponse{}, fmt.Errorf("%w: body exceeds %d bytes (status %d)", ErrResponseTooLarge, limit, resp.StatusCode)
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -221,30 +220,30 @@ func (t *JSONTransport) postWrite(ctx context.Context, path string, body *server
 			// The server answered 200 — the write applied — but the body
 			// broke; report success-shaped data loss as a terminal error
 			// rather than tempting a duplicate-producing retry.
-			return server.WriteResponse{}, fmt.Errorf("client: write acknowledged but response truncated after %d bytes (not retried): %w", len(rbody), readErr)
+			return wiretext.WriteResponse{}, fmt.Errorf("client: write acknowledged but response truncated after %d bytes (not retried): %w", len(rbody), readErr)
 		}
-		var out server.WriteResponse
+		var out wiretext.WriteResponse
 		if err := json.Unmarshal(rbody, &out); err != nil {
-			return server.WriteResponse{}, fmt.Errorf("client: decoding response: %w", err)
+			return wiretext.WriteResponse{}, fmt.Errorf("client: decoding response: %w", err)
 		}
 		return out, nil
 	case http.StatusTooManyRequests:
-		return server.WriteResponse{}, &RetryableError{
+		return wiretext.WriteResponse{}, &RetryableError{
 			RetryAfter: retryAfterHint(resp),
 			Err:        fmt.Errorf("%w: %s", ErrOverloaded, errorBody(rbody)),
 		}
 	case http.StatusServiceUnavailable:
-		return server.WriteResponse{}, &RetryableError{
+		return wiretext.WriteResponse{}, &RetryableError{
 			RetryAfter: retryAfterHint(resp),
 			Err:        fmt.Errorf("%w: %s", ErrUnavailable, errorBody(rbody)),
 		}
 	case http.StatusForbidden:
-		return server.WriteResponse{}, fmt.Errorf("%w: %s", ErrReadOnly, errorBody(rbody))
+		return wiretext.WriteResponse{}, fmt.Errorf("%w: %s", ErrReadOnly, errorBody(rbody))
 	case http.StatusGatewayTimeout:
 		// The deadline expired server-side, possibly mid-WAL-sync.
-		return server.WriteResponse{}, maybeApplied(fmt.Errorf("client: server deadline exceeded: %s", errorBody(rbody)))
+		return wiretext.WriteResponse{}, maybeApplied(fmt.Errorf("client: server deadline exceeded: %s", errorBody(rbody)))
 	default:
-		return server.WriteResponse{}, fmt.Errorf("client: server returned %d: %s", resp.StatusCode, errorBody(rbody))
+		return wiretext.WriteResponse{}, fmt.Errorf("client: server returned %d: %s", resp.StatusCode, errorBody(rbody))
 	}
 }
 
@@ -264,51 +263,51 @@ func (t *JSONTransport) Close() error { return nil }
 // modes: transport errors before a response and 429/503 answers are
 // retryable; a consumed-but-broken body and every other status are
 // terminal.
-func (t *JSONTransport) get(ctx context.Context, reqURL string) (server.QueryResponse, error) {
+func (t *JSONTransport) get(ctx context.Context, reqURL string) (wiretext.QueryResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, reqURL, nil)
 	if err != nil {
-		return server.QueryResponse{}, fmt.Errorf("client: %w", err)
+		return wiretext.QueryResponse{}, fmt.Errorf("client: %w", err)
 	}
 	resp, err := t.hc().Do(req)
 	if err != nil {
 		// No response at all: nothing was consumed, safe to retry —
 		// unless the caller's context is what ended the attempt.
 		if ctx.Err() != nil {
-			return server.QueryResponse{}, fmt.Errorf("client: %w", ctx.Err())
+			return wiretext.QueryResponse{}, fmt.Errorf("client: %w", ctx.Err())
 		}
-		return server.QueryResponse{}, retryable(err)
+		return wiretext.QueryResponse{}, retryable(err)
 	}
 	limit := t.maxBody()
 	body, readErr := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	resp.Body.Close()
 	if int64(len(body)) > limit {
-		return server.QueryResponse{}, fmt.Errorf("%w: body exceeds %d bytes (status %d)", ErrResponseTooLarge, limit, resp.StatusCode)
+		return wiretext.QueryResponse{}, fmt.Errorf("%w: body exceeds %d bytes (status %d)", ErrResponseTooLarge, limit, resp.StatusCode)
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if readErr != nil {
 			// Partial body: never retried.
-			return server.QueryResponse{}, fmt.Errorf("client: response truncated after %d bytes (not retried): %w", len(body), readErr)
+			return wiretext.QueryResponse{}, fmt.Errorf("client: response truncated after %d bytes (not retried): %w", len(body), readErr)
 		}
-		var out server.QueryResponse
+		var out wiretext.QueryResponse
 		if err := json.Unmarshal(body, &out); err != nil {
-			return server.QueryResponse{}, fmt.Errorf("client: decoding response: %w", err)
+			return wiretext.QueryResponse{}, fmt.Errorf("client: decoding response: %w", err)
 		}
 		return out, nil
 	case http.StatusTooManyRequests:
-		return server.QueryResponse{}, &RetryableError{
+		return wiretext.QueryResponse{}, &RetryableError{
 			RetryAfter: retryAfterHint(resp),
 			Err:        fmt.Errorf("%w: %s", ErrOverloaded, errorBody(body)),
 		}
 	case http.StatusServiceUnavailable:
-		return server.QueryResponse{}, &RetryableError{
+		return wiretext.QueryResponse{}, &RetryableError{
 			RetryAfter: retryAfterHint(resp),
 			Err:        fmt.Errorf("%w: %s", ErrUnavailable, errorBody(body)),
 		}
 	default:
 		// Complete non-retryable answer (400 bad box, 504 deadline, 500):
 		// repeating it would repeat the failure.
-		return server.QueryResponse{}, fmt.Errorf("client: server returned %d: %s", resp.StatusCode, errorBody(body))
+		return wiretext.QueryResponse{}, fmt.Errorf("client: server returned %d: %s", resp.StatusCode, errorBody(body))
 	}
 }
 
@@ -326,7 +325,7 @@ func retryAfterHint(resp *http.Response) time.Duration {
 // errorBody extracts the server's JSON error message, falling back to the
 // raw bytes.
 func errorBody(body []byte) string {
-	var er server.ErrorResponse
+	var er wiretext.ErrorResponse
 	if err := json.Unmarshal(body, &er); err == nil && er.Error != "" {
 		return er.Error
 	}

@@ -8,10 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/store"
 	wiretext "repro/internal/wire/text"
@@ -51,9 +51,9 @@ func maybeApplied(err error) *MaybeAppliedError { return &MaybeAppliedError{Err:
 // server-side deadline — fails immediately with a *MaybeAppliedError,
 // because a repeated put is a duplicate record. Callers that can tolerate
 // duplicates may errors.As for MaybeAppliedError and re-issue themselves.
-func (c *Client) Put(ctx context.Context, rec store.Record, opts ...CallOption) (server.WriteResponse, error) {
+func (c *Client) Put(ctx context.Context, rec store.Record, opts ...CallOption) (wiretext.WriteResponse, error) {
 	o := applyCallOpts(opts)
-	return doWriteRetry(ctx, c, false, func(ctx context.Context) (server.WriteResponse, error) {
+	return doWriteRetry(ctx, c, false, func(ctx context.Context) (wiretext.WriteResponse, error) {
 		return c.tr.Put(ctx, rec, o.timeout)
 	})
 }
@@ -61,18 +61,18 @@ func (c *Client) Put(ctx context.Context, rec store.Record, opts ...CallOption) 
 // Delete durably removes every stored instance equal to rec. Deletion is
 // idempotent — removing an absent record is a no-op — so unlike Put,
 // maybe-applied failures are retried within the policy's budget.
-func (c *Client) Delete(ctx context.Context, rec store.Record, opts ...CallOption) (server.WriteResponse, error) {
+func (c *Client) Delete(ctx context.Context, rec store.Record, opts ...CallOption) (wiretext.WriteResponse, error) {
 	o := applyCallOpts(opts)
-	return doWriteRetry(ctx, c, true, func(ctx context.Context) (server.WriteResponse, error) {
+	return doWriteRetry(ctx, c, true, func(ctx context.Context) (wiretext.WriteResponse, error) {
 		return c.tr.Delete(ctx, rec, o.timeout)
 	})
 }
 
 // Flush persists every shard's memtable into an on-disk run. Flushing is
 // idempotent; maybe-applied failures are retried.
-func (c *Client) Flush(ctx context.Context, opts ...CallOption) (server.WriteResponse, error) {
+func (c *Client) Flush(ctx context.Context, opts ...CallOption) (wiretext.WriteResponse, error) {
 	o := applyCallOpts(opts)
-	return doWriteRetry(ctx, c, true, func(ctx context.Context) (server.WriteResponse, error) {
+	return doWriteRetry(ctx, c, true, func(ctx context.Context) (wiretext.WriteResponse, error) {
 		return c.tr.Flush(ctx, o.timeout)
 	})
 }
@@ -81,7 +81,7 @@ func (c *Client) Flush(ctx context.Context, opts ...CallOption) (server.WriteRes
 // always repeated (the server refused them before any state changed), and
 // *MaybeAppliedError attempts are repeated only when the operation is
 // idempotent. Everything else is terminal on the first occurrence.
-func doWriteRetry(ctx context.Context, c *Client, idempotent bool, op func(ctx context.Context) (server.WriteResponse, error)) (server.WriteResponse, error) {
+func doWriteRetry(ctx context.Context, c *Client, idempotent bool, op func(ctx context.Context) (wiretext.WriteResponse, error)) (wiretext.WriteResponse, error) {
 	q := uint64(c.queries.Add(1))
 	var lastErr error
 	var delay time.Duration
@@ -89,7 +89,7 @@ func doWriteRetry(ctx context.Context, c *Client, idempotent bool, op func(ctx c
 		if attempt > 1 {
 			c.retries.Add(1)
 			if err := c.sleep(ctx, delay); err != nil {
-				return server.WriteResponse{}, fmt.Errorf("client: giving up while backing off: %w (last failure: %w)", err, lastErr)
+				return wiretext.WriteResponse{}, fmt.Errorf("client: giving up while backing off: %w (last failure: %w)", err, lastErr)
 			}
 		}
 		c.attempts.Add(1)
@@ -114,10 +114,10 @@ func doWriteRetry(ctx context.Context, c *Client, idempotent bool, op func(ctx c
 			lastErr = ma.Err
 			delay = c.retry.backoff(q, attempt)
 		default:
-			return server.WriteResponse{}, err
+			return wiretext.WriteResponse{}, err
 		}
 	}
-	return server.WriteResponse{}, fmt.Errorf("client: %d attempts exhausted: %w", c.retry.MaxAttempts, lastErr)
+	return wiretext.WriteResponse{}, fmt.Errorf("client: %d attempts exhausted: %w", c.retry.MaxAttempts, lastErr)
 }
 
 // Digest fetches the daemon's anti-entropy summary over the given curve
@@ -157,15 +157,15 @@ func (c *Client) digestOnce(ctx context.Context, ivs []query.Interval, timeout t
 		if readErr != nil {
 			return service.RangeDigest{}, fmt.Errorf("client: response truncated (not retried): %w", readErr)
 		}
-		var out server.DigestResponse
+		var out wiretext.DigestResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			return service.RangeDigest{}, fmt.Errorf("client: decoding /digest: %w", err)
 		}
-		d, err := out.Digest()
+		sum, err := strconv.ParseUint(out.Sum, 16, 64)
 		if err != nil {
-			return service.RangeDigest{}, fmt.Errorf("client: %w", err)
+			return service.RangeDigest{}, fmt.Errorf("client: digest sum %q: %w", out.Sum, err)
 		}
-		return d, nil
+		return service.RangeDigest{Count: out.Count, Sum: sum, Generation: out.Generation}, nil
 	case http.StatusTooManyRequests:
 		return service.RangeDigest{}, &RetryableError{
 			RetryAfter: retryAfterHint(resp),
@@ -186,28 +186,28 @@ func (c *Client) digestOnce(ctx context.Context, ivs []query.Interval, timeout t
 // not serve the binary protocol at all; callers then stay on JSON for
 // everything. A daemon may advertise an address without the write
 // capability: reads may upgrade while writes must stay on HTTP.
-func (c *Client) WireInfo(ctx context.Context) (info server.WireInfo, found bool, err error) {
+func (c *Client) WireInfo(ctx context.Context) (info wiretext.WireInfo, found bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/wireinfo", nil)
 	if err != nil {
-		return server.WireInfo{}, false, fmt.Errorf("client: %w", err)
+		return wiretext.WireInfo{}, false, fmt.Errorf("client: %w", err)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return server.WireInfo{}, false, err
+		return wiretext.WireInfo{}, false, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if err != nil {
-		return server.WireInfo{}, false, fmt.Errorf("client: %w", err)
+		return wiretext.WireInfo{}, false, fmt.Errorf("client: %w", err)
 	}
 	if resp.StatusCode == http.StatusNotFound {
-		return server.WireInfo{}, false, nil
+		return wiretext.WireInfo{}, false, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return server.WireInfo{}, false, fmt.Errorf("client: /wireinfo returned %d", resp.StatusCode)
+		return wiretext.WireInfo{}, false, fmt.Errorf("client: /wireinfo returned %d", resp.StatusCode)
 	}
 	if err := json.Unmarshal(body, &info); err != nil {
-		return server.WireInfo{}, false, fmt.Errorf("client: decoding /wireinfo: %w", err)
+		return wiretext.WireInfo{}, false, fmt.Errorf("client: decoding /wireinfo: %w", err)
 	}
 	return info, true, nil
 }

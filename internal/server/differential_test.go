@@ -16,6 +16,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/store"
+	wiretext "repro/internal/wire/text"
 )
 
 // newFaultedDifferentialServer builds a service with deterministically lost
@@ -75,7 +76,7 @@ func randomIntervals(rng *rand.Rand, n uint64, count int) []query.Interval {
 // sequence, dark intervals, pages read, shards queried, and the complete
 // flag. ElapsedUS is the one field allowed to differ — it measures the
 // server, not the answer.
-func diffResponses(a, b server.QueryResponse) error {
+func diffResponses(a, b wiretext.QueryResponse) error {
 	if len(a.Records) != len(b.Records) {
 		return fmt.Errorf("record count %d vs %d", len(a.Records), len(b.Records))
 	}

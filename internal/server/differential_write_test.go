@@ -19,6 +19,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/store"
+	wiretext "repro/internal/wire/text"
 )
 
 // writeOp is one step of a deterministic write workload: a put, a delete,
@@ -133,7 +134,7 @@ func newDurableDifferentialServer(t *testing.T, dir string, seed int64) (jsonCl,
 }
 
 // applyOp runs one workload step through cl and returns the server's ack.
-func applyOp(ctx context.Context, cl *client.Client, op writeOp) (server.WriteResponse, error) {
+func applyOp(ctx context.Context, cl *client.Client, op writeOp) (wiretext.WriteResponse, error) {
 	switch op.kind {
 	case 0:
 		return cl.Put(ctx, op.rec)

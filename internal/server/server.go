@@ -362,12 +362,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(toResponse(res, elapsed.Microseconds()))
 }
 
-// MaxScanIntervals bounds the interval count a single /scan request may
-// carry, so a malformed router cannot make a node sort an unbounded list.
-//
-// Deprecated: use wiretext.MaxScanIntervals (internal/wire/text).
-const MaxScanIntervals = wiretext.MaxScanIntervals
-
 // handleScan answers GET /scan?ivs=lo-hi,lo-hi,…[&timeout=250ms]: a raw
 // curve-interval scan, the endpoint the cluster router fans box queries out
 // through. Intervals must be non-empty, in-range, sorted, and disjoint —
@@ -381,7 +375,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	ivs, err := ParseIntervals(q.Get("ivs"))
+	ivs, err := wiretext.ParseIntervals(q.Get("ivs"))
 	if err != nil {
 		s.reqBad.Inc()
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("ivs: %v", err), false)
@@ -446,20 +440,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(toResponse(res, elapsed.Microseconds()))
 }
 
-// ParseIntervals parses the /scan wire form "lo-hi,lo-hi,…".
-//
-// Deprecated: use wiretext.ParseIntervals (internal/wire/text).
-func ParseIntervals(v string) ([]query.Interval, error) {
-	return wiretext.ParseIntervals(v)
-}
-
-// FormatIntervals renders intervals in the /scan wire form.
-//
-// Deprecated: use wiretext.FormatIntervals (internal/wire/text).
-func FormatIntervals(ivs []query.Interval) string {
-	return wiretext.FormatIntervals(ivs)
-}
-
 // handleWrite builds the POST /put and /delete handlers: decode one record,
 // route it through the service's durable write path, acknowledge only after
 // the owning shard's WAL has synced it. On a read-only (in-memory) service
@@ -478,7 +458,7 @@ func (s *Server) handleWrite(op func(*service.Service, context.Context, store.Re
 			s.writeError(w, http.StatusServiceUnavailable, "draining", true)
 			return
 		}
-		var req WriteRequest
+		var req wiretext.WriteRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 			s.reqBad.Inc()
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("body: %v", err), false)
@@ -490,7 +470,7 @@ func (s *Server) handleWrite(op func(*service.Service, context.Context, store.Re
 		}
 		s.reqOK.Inc()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(WriteResponse{OK: true, Acked: 1, Required: 1})
+		json.NewEncoder(w).Encode(wiretext.WriteResponse{OK: true, Acked: 1, Required: 1})
 	}
 }
 
@@ -507,7 +487,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	ivs, err := ParseIntervals(q.Get("ivs"))
+	ivs, err := wiretext.ParseIntervals(q.Get("ivs"))
 	if err != nil {
 		s.reqBad.Inc()
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("ivs: %v", err), false)
@@ -596,7 +576,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reqOK.Inc()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(WriteResponse{OK: true, Acked: 1, Required: 1})
+	json.NewEncoder(w).Encode(wiretext.WriteResponse{OK: true, Acked: 1, Required: 1})
 }
 
 // writeWriteError maps a write-path failure to its status code.
@@ -624,11 +604,11 @@ func (s *Server) writeWriteError(w http.ResponseWriter, err error) {
 func (s *Server) parseQuery(r *http.Request) (query.Box, time.Duration, error) {
 	q := r.URL.Query()
 	u := s.svc.Curve().Universe()
-	lo, err := ParsePoint(q.Get("lo"), u.D())
+	lo, err := wiretext.ParsePoint(q.Get("lo"), u.D())
 	if err != nil {
 		return query.Box{}, 0, fmt.Errorf("lo: %w", err)
 	}
-	hi, err := ParsePoint(q.Get("hi"), u.D())
+	hi, err := wiretext.ParsePoint(q.Get("hi"), u.D())
 	if err != nil {
 		return query.Box{}, 0, fmt.Errorf("hi: %w", err)
 	}
@@ -669,14 +649,6 @@ func (s *Server) clampTimeout(d time.Duration) time.Duration {
 	return d
 }
 
-// ParsePoint parses "3,17,…" into d coordinates — the /query corner wire
-// form.
-//
-// Deprecated: use wiretext.ParsePoint (internal/wire/text).
-func ParsePoint(v string, d int) ([]uint32, error) {
-	return wiretext.ParsePoint(v, d)
-}
-
 // writeError sends the JSON error body; retryable responses carry a
 // Retry-After hint so well-behaved clients back off instead of hammering.
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string, retryable bool) {
@@ -685,7 +657,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string, retryab
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec))
 	}
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
+	json.NewEncoder(w).Encode(wiretext.ErrorResponse{Error: msg})
 }
 
 // handleMetrics serves the registry: aligned text by default,

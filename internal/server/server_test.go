@@ -21,6 +21,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/store"
+	wiretext "repro/internal/wire/text"
 )
 
 // slowDevice delays every page read, turning the simulated store into one
@@ -101,7 +102,7 @@ func TestQueryEndToEnd(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got server.QueryResponse
+	var got wiretext.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 			return
 		}
 		defer resp.Body.Close()
-		var qr server.QueryResponse
+		var qr wiretext.QueryResponse
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			slow <- result{status: resp.StatusCode, err: err}
 			return

@@ -15,6 +15,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/wire"
+	wiretext "repro/internal/wire/text"
 )
 
 // ServeWire accepts binary-protocol connections (internal/wire) on l until
@@ -59,11 +60,11 @@ func (s *Server) AdvertiseWire(addr string) { s.wireAdvert.Store(addr) }
 // handleWireInfo answers GET /wireinfo: the advertised binary listener,
 // or 404 when the daemon does not serve the binary protocol. Compress
 // advertises per-frame deflate support; clients opt in per request. Write
-// advertises the TPut/TDelete/TFlush frames, present only on durable
-// daemons — a router seeing write:false (or an old daemon that omits the
-// field entirely) must keep its writes on the HTTP endpoints. The frames
-// share the reads' flags-byte contract: unknown request flag bits are
-// hard-rejected as corrupt, never ignored.
+// reports whether TPut/TDelete/TFlush frames are applied — only on durable
+// daemons; elsewhere they are answered with CodeReadOnly, the binary twin
+// of the JSON endpoints' 403. The frames share the reads' flags-byte
+// contract: unknown request flag bits are hard-rejected as corrupt, never
+// ignored.
 func (s *Server) handleWireInfo(w http.ResponseWriter, r *http.Request) {
 	addr, _ := s.wireAdvert.Load().(string)
 	if addr == "" {
@@ -71,7 +72,7 @@ func (s *Server) handleWireInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(WireInfo{Addr: addr, Compress: true, Write: s.svc.DurableMode()})
+	json.NewEncoder(w).Encode(wiretext.WireInfo{Addr: addr, Compress: true, Write: s.svc.DurableMode()})
 }
 
 // wireWriter serializes whole-frame writes to one connection, so frames

@@ -13,6 +13,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/server"
 	"repro/internal/service"
+	wiretext "repro/internal/wire/text"
 )
 
 // newDurableServer builds a server over an initially empty durable service
@@ -57,7 +58,7 @@ func TestWriteEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("put %d: status %d", i, resp.StatusCode)
 		}
-		var ack server.WriteResponse
+		var ack wiretext.WriteResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || !ack.OK {
 			t.Fatalf("put %d: bad ack (%v, %+v)", i, err, ack)
 		}
@@ -79,7 +80,7 @@ func TestWriteEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr wiretext.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestWriteEndpointsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr server.QueryResponse
+	var qr wiretext.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}

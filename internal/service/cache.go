@@ -12,7 +12,7 @@ import (
 )
 
 // DefaultCacheSize is the decomposition cache capacity used when
-// Config.CacheSize is zero. Decompositions are small (a few dozen intervals
+// WithCacheSize is not given. Decompositions are small (a few dozen intervals
 // for realistic boxes), so a thousand entries is cheap and covers the hot
 // set of a skewed workload.
 const DefaultCacheSize = 1024

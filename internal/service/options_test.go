@@ -3,7 +3,6 @@ package service_test
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/curve"
@@ -39,61 +38,11 @@ func optionTestData(t *testing.T) (curve.Curve, []store.Record, []query.Box) {
 	return c, recs, boxes
 }
 
-// TestOptionsEquivalentToConfig: a service built with functional options
-// answers queries identically to one built with the legacy Config literal,
-// and both forms keep compiling against the same New.
-func TestOptionsEquivalentToConfig(t *testing.T) {
-	c, recs, boxes := optionTestData(t)
-	reg := metrics.NewRegistry()
-	viaOpts, err := service.New(c, recs,
-		service.WithShards(4),
-		service.WithWorkers(2),
-		service.WithCacheSize(16),
-		service.WithPageSize(8),
-		service.WithMetrics(reg),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaOpts.Close()
-	viaConfig, err := service.New(c, recs, service.Config{
-		Shards: 4, Workers: 2, CacheSize: 16, PageSize: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaConfig.Close()
-
-	if viaOpts.Shards() != 4 || viaConfig.Shards() != 4 {
-		t.Fatalf("shards: opts %d, config %d, want 4", viaOpts.Shards(), viaConfig.Shards())
-	}
-	if viaOpts.Metrics() != reg {
-		t.Fatal("WithMetrics registry not adopted")
-	}
-	ctx := context.Background()
-	for _, b := range boxes {
-		ro, err := viaOpts.Range(ctx, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := viaConfig.Range(ctx, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ro.Records, rc.Records) {
-			t.Fatal("option-built and config-built services disagree")
-		}
-	}
-	if reg.Counter("queries.total").Value() != int64(len(boxes)) {
-		t.Fatalf("metrics not routed into supplied registry: queries.total = %d",
-			reg.Counter("queries.total").Value())
-	}
-}
-
 // TestOptionsValidate: out-of-range options fail New instead of silently
-// clamping, and a later option overrides an earlier one (Config included).
+// clamping, a later option overrides an earlier one, and WithMetrics routes
+// the service metrics into the supplied registry.
 func TestOptionsValidate(t *testing.T) {
-	c, recs, _ := optionTestData(t)
+	c, recs, boxes := optionTestData(t)
 	for _, tc := range []struct {
 		name string
 		opt  service.Option
@@ -108,13 +57,25 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: invalid option accepted", tc.name)
 		}
 	}
-	// Later options win: Config sets 2 shards, WithShards overrides to 3.
-	svc, err := service.New(c, recs, service.Config{Shards: 2}, service.WithShards(3))
+	// Later options win: the first sets 2 shards, the second overrides to 3.
+	reg := metrics.NewRegistry()
+	svc, err := service.New(c, recs, service.WithShards(2), service.WithShards(3), service.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	if svc.Shards() != 3 {
 		t.Fatalf("override: %d shards, want 3", svc.Shards())
+	}
+	if svc.Metrics() != reg {
+		t.Fatal("WithMetrics registry not adopted")
+	}
+	for _, b := range boxes {
+		if _, err := svc.Range(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("queries.total").Value(); got != int64(len(boxes)) {
+		t.Fatalf("metrics not routed into supplied registry: queries.total = %d", got)
 	}
 }

@@ -86,10 +86,9 @@ func (r Result) Complete() bool { return len(r.Unavailable) == 0 }
 // curve-index cuts and starts the worker pool. The input records are not
 // retained. Configuration is by functional options mirroring the store's
 // (WithShards, WithWorkers, WithCacheSize, WithPageSize, WithMetrics,
-// WithShardStoreOptions); the legacy Config struct also satisfies Option,
-// so pre-option call sites compile unchanged.
+// WithShardStoreOptions, WithDurableDir).
 func New(c curve.Curve, recs []store.Record, opts ...Option) (*Service, error) {
-	var cfg buildConfig
+	cfg := buildConfig{shards: 1, workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -98,20 +97,7 @@ func New(c curve.Curve, recs []store.Record, opts ...Option) (*Service, error) {
 			return nil, err
 		}
 	}
-	shards := cfg.shards
-	if shards == 0 {
-		shards = 1
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("service: %d shards", shards)
-	}
-	workers := cfg.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("service: %d workers", workers)
-	}
+	shards, workers := cfg.shards, cfg.workers
 	pt, err := partition.Uniform(c, shards)
 	if err != nil {
 		return nil, fmt.Errorf("service: partitioning: %w", err)

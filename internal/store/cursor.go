@@ -68,8 +68,8 @@ type BatchCursor interface {
 }
 
 // validateScanIntervals checks the sorted-disjoint precondition the cursor
-// watermark logic relies on (Scan merely documents it; the cursor enforces
-// it because a violation would silently break downstream merges).
+// watermark logic relies on; a violation would silently break downstream
+// merges, so every scan entry point enforces it.
 func validateScanIntervals(ivs []query.Interval) error {
 	for i, iv := range ivs {
 		if iv.Lo > iv.Hi {
@@ -83,11 +83,10 @@ func validateScanIntervals(ivs []query.Interval) error {
 }
 
 // ScanCursor opens an incremental scan over the given sorted, disjoint
-// curve intervals. Draining the cursor is bit-identical to Scan: same
-// records in the same order, same merged dark tiling, same PagesRead, and
-// identical Stats charges — the cursor exists so the service layer can
-// stream batches onto the wire while later intervals are still being read,
-// bounding per-request memory by the batch size instead of the result
+// curve intervals; Scan is this cursor drained. It charges one descent per
+// interval and one leaf read per distinct page, and it lets the service
+// layer stream batches onto the wire while later intervals are still being
+// read, bounding per-request memory by the batch size instead of the result
 // size.
 //
 // The cursor retains ivs; the caller must not mutate it until Close.
@@ -106,14 +105,14 @@ func (st *Store) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCurs
 
 // storeCursor walks intervals in order and pages within each interval in
 // order, which makes the page sequence globally non-decreasing — one
-// memoized current page replaces Scan's page cache, and a page shared by
-// the tail of one interval and the head of the next is fetched (and
-// counted) once, exactly like the cache would.
+// memoized current page serves as the per-scan page cache, and a page
+// shared by the tail of one interval and the head of the next is fetched
+// (and counted) once.
 //
-// Correctness hinges on two facts Scan gets by running in two passes:
+// Correctness hinges on two facts a two-pass scan would get for free:
 //
 //   - A record on a readable page can be retroactively darkened only by a
-//     failed page that shares its key across the page boundary (Scan
+//     failed page that shares its key across the page boundary (a scan
 //     withholds every record whose key lands in a dark span). Such a key
 //     is by construction the first key of the next page, so the cursor
 //     holds back exactly the records with key >= the next page's first key
@@ -264,6 +263,17 @@ func (c *storeCursor) Close() {
 func (c *storeCursor) fail(err error) (Batch, error) {
 	c.err = err
 	return Batch{}, err
+}
+
+// pageKeySpan returns the half-open curve-key range [first, last+1] covered
+// by the records of the given page.
+func (st *Store) pageKeySpan(page int) query.Interval {
+	lo := page * st.pageSize
+	hi := lo + st.pageSize
+	if hi > len(st.keys) {
+		hi = len(st.keys)
+	}
+	return query.Interval{Lo: st.keys[lo], Hi: st.keys[hi-1] + 1}
 }
 
 // getPage mirrors pageCache.get's charging: one leaf read per distinct

@@ -3,6 +3,7 @@ package store_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -62,7 +63,7 @@ func drainCursor(t *testing.T, ctx context.Context, cur store.BatchCursor, c cur
 }
 
 // sameSlices is reflect.DeepEqual with nil and empty considered equal —
-// the cursor accumulates into nil slices where Scan pre-allocates.
+// the cursor accumulates into nil slices where the references pre-allocate.
 func sameSlices[T any](a, b []T) bool {
 	if len(a) != len(b) {
 		return false
@@ -70,10 +71,24 @@ func sameSlices[T any](a, b []T) bool {
 	return len(a) == 0 || reflect.DeepEqual(a, b)
 }
 
+// sameResult reports the first field in which got differs from want:
+// records, merged dark tiling, or PagesRead.
+func sameResult(got, want store.ScanResult) string {
+	switch {
+	case !sameSlices(got.Records, want.Records):
+		return fmt.Sprintf("records diverge (%d vs %d)", len(got.Records), len(want.Records))
+	case !sameSlices(got.Unavailable, want.Unavailable):
+		return fmt.Sprintf("dark %v, want %v", got.Unavailable, want.Unavailable)
+	case got.PagesRead != want.PagesRead:
+		return fmt.Sprintf("PagesRead %d, want %d", got.PagesRead, want.PagesRead)
+	}
+	return ""
+}
+
 // dupHeavyStore builds a store whose records are drawn from a small pool
 // of points, so long runs of duplicate curve keys straddle page
 // boundaries — the case the cursor's boundary holdback exists for.
-func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, ps int) (curve.Curve, *store.Store) {
+func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, seed int64, opts ...store.Option) (curve.Curve, *store.Store) {
 	t.Helper()
 	c, err := curve.ByName(name, u, seed)
 	if err != nil {
@@ -92,17 +107,17 @@ func dupHeavyStore(t *testing.T, u *grid.Universe, name string, n, pool int, see
 	for i := range recs {
 		recs[i] = store.Record{Point: pts[rng.Intn(pool)], Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(c, recs, store.Config{PageSize: ps, Fanout: 4})
+	st, err := store.Bulkload(c, recs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, st
 }
 
-// TestCursorEqualsScanProperty: draining ScanCursor is bit-identical to
-// Scan — records, merged dark tiling, PagesRead, and Stats charges — for
-// random boxes over duplicate-heavy stores with injected page loss, across
-// page geometries and batch sizes.
+// TestCursorEqualsScanProperty: draining ScanCursor, and Scan itself, match
+// the two-pass reference scan — records, merged dark tiling, PagesRead, and
+// Stats charges — for random boxes over duplicate-heavy stores with
+// injected page loss, across page geometries and batch sizes.
 func TestCursorEqualsScanProperty(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	ctx := context.Background()
@@ -119,53 +134,52 @@ func TestCursorEqualsScanProperty(t *testing.T) {
 		{"z", 8, 4096, 0.1, 14},
 		{"snake", 16, 64, 0, 15},
 	} {
-		c, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, cfg.ps)
+		opts := []store.Option{store.WithPageSize(cfg.ps), store.WithFanout(4)}
 		if cfg.lostFrac > 0 {
-			inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.SetDevice(inj); err != nil {
-				t.Fatal(err)
-			}
+			opts = append(opts, withInjector(faultio.Config{Seed: cfg.seed, LostFrac: cfg.lostFrac}, nil))
 		}
+		c, st := dupHeavyStore(t, u, cfg.curveName, 3000, 40, cfg.seed, opts...)
 		rng := rand.New(rand.NewSource(cfg.seed * 101))
 		for q := 0; q < 12; q++ {
 			ivs := query.DecomposeBox(c, randomTestBox(rng, u))
 			st.ResetStats()
-			want, err := st.Scan(ctx, ivs)
+			want, err := store.RefScan(st, ctx, ivs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scanStats := st.Stats()
+			refStats := st.Stats()
 			st.ResetStats()
 			cur, err := st.ScanCursor(ivs, store.ScanBatchSize(cfg.batch))
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := drainCursor(t, ctx, cur, c)
-			if !sameSlices(got.Records, want.Records) {
-				t.Fatalf("ps=%d batch=%d: cursor records diverge from Scan (%d vs %d)",
-					cfg.ps, cfg.batch, len(got.Records), len(want.Records))
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("ps=%d batch=%d: cursor %s", cfg.ps, cfg.batch, diff)
 			}
-			if !sameSlices(got.Unavailable, want.Unavailable) {
-				t.Fatalf("ps=%d batch=%d: cursor dark %v, Scan dark %v",
-					cfg.ps, cfg.batch, got.Unavailable, want.Unavailable)
+			if cursorStats := st.Stats(); cursorStats != refStats {
+				t.Fatalf("cursor stats %+v, reference stats %+v", cursorStats, refStats)
 			}
-			if got.PagesRead != want.PagesRead {
-				t.Fatalf("ps=%d batch=%d: cursor PagesRead %d, Scan %d",
-					cfg.ps, cfg.batch, got.PagesRead, want.PagesRead)
+			st.ResetStats()
+			got, err = st.Scan(ctx, ivs, store.ScanBatchSize(cfg.batch))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if cursorStats := st.Stats(); cursorStats != scanStats {
-				t.Fatalf("cursor stats %+v, Scan stats %+v", cursorStats, scanStats)
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("ps=%d batch=%d: Scan %s", cfg.ps, cfg.batch, diff)
+			}
+			if scanStats := st.Stats(); scanStats != refStats {
+				t.Fatalf("Scan stats %+v, reference stats %+v", scanStats, refStats)
 			}
 		}
 	}
 }
 
 // TestDurableCursorEqualsScan: the Durable cursor's k-way merge — runs,
-// tombstones, memtable — drains bit-identically to Durable.Scan, under
-// injected loss on the run devices.
+// tombstones, memtable — and Durable.Scan match the run-merge reference
+// (per-run reference scans, re-keyed and stably sorted) on records, merged
+// dark tiling, PagesRead and per-run Stats, under injected loss on the run
+// devices.
 func TestDurableCursorEqualsScan(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	h, err := curve.ByName("hilbert", u, 1)
@@ -173,19 +187,15 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lossSeed := range []int64{0, 21, 22} {
-		wrap := store.DeviceWrapper(nil)
-		if lossSeed != 0 {
-			wrap = func(d store.PageDevice) (store.PageDevice, error) {
-				return faultio.Wrap(d, faultio.Config{Seed: lossSeed, LostFrac: 0.15})
-			}
-		}
 		opts := []store.DurableOption{
 			store.WithDurablePageSize(4),
 			store.WithMemLimit(1 << 20),
 			store.WithAutoCompact(false),
 		}
-		if wrap != nil {
-			opts = append(opts, store.WithRunWrapper(wrap))
+		if lossSeed != 0 {
+			opts = append(opts, store.WithRunWrapper(func(d store.PageDevice) (store.PageDevice, error) {
+				return faultio.Wrap(d, faultio.Config{Seed: lossSeed, LostFrac: 0.15})
+			}))
 		}
 		d, err := store.OpenDurable(t.TempDir(), h, opts...)
 		if err != nil {
@@ -227,25 +237,33 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 		rq := rand.New(rand.NewSource(lossSeed + 99))
 		for q := 0; q < 10; q++ {
 			ivs := query.DecomposeBox(h, randomTestBox(rq, u))
-			want, err := d.Scan(ctx, ivs)
+			batch := store.ScanBatchSize(1 + rq.Intn(64))
+			d.TakeRunStats()
+			want, err := store.RefDurableScan(d, ctx, ivs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur, err := d.ScanCursor(ivs, store.ScanBatchSize(1+rq.Intn(64)))
+			refStats := d.TakeRunStats()
+			cur, err := d.ScanCursor(ivs, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := drainCursor(t, ctx, cur, h)
-			if !sameSlices(got.Records, want.Records) {
-				t.Fatalf("seed %d: durable cursor records diverge (%d vs %d)",
-					lossSeed, len(got.Records), len(want.Records))
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("seed %d: durable cursor %s", lossSeed, diff)
 			}
-			if !sameSlices(query.MergeIntervals(got.Unavailable), want.Unavailable) {
-				t.Fatalf("seed %d: durable cursor dark %v, Scan dark %v",
-					lossSeed, got.Unavailable, want.Unavailable)
+			if cursorStats := d.TakeRunStats(); !reflect.DeepEqual(cursorStats, refStats) {
+				t.Fatalf("seed %d: durable cursor run stats %+v, reference %+v", lossSeed, cursorStats, refStats)
 			}
-			if got.PagesRead != want.PagesRead {
-				t.Fatalf("seed %d: durable cursor PagesRead %d, Scan %d", lossSeed, got.PagesRead, want.PagesRead)
+			got, err = d.Scan(ctx, ivs, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameResult(got, want); diff != "" {
+				t.Fatalf("seed %d: Durable.Scan %s", lossSeed, diff)
+			}
+			if scanStats := d.TakeRunStats(); !reflect.DeepEqual(scanStats, refStats) {
+				t.Fatalf("seed %d: Durable.Scan run stats %+v, reference %+v", lossSeed, scanStats, refStats)
 			}
 		}
 		if err := d.Close(); err != nil {
@@ -254,6 +272,9 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 		if _, err := d.ScanCursor(nil); !errors.Is(err, store.ErrClosed) {
 			t.Fatalf("ScanCursor on closed store: %v, want ErrClosed", err)
 		}
+		if _, err := d.Scan(ctx, nil); !errors.Is(err, store.ErrClosed) {
+			t.Fatalf("Scan on closed store: %v, want ErrClosed", err)
+		}
 	}
 }
 
@@ -261,14 +282,8 @@ func TestDurableCursorEqualsScan(t *testing.T) {
 // ErrPageUnavailable at the first lost page, and the error is sticky.
 func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.Config{PageSize: 8, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 3, LostPages: []int{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	_, _, st := buildStore(t, u, "hilbert", 1200, 7, store.WithPageSize(8), store.WithFanout(4),
+		withInjector(faultio.Config{Seed: 3, LostPages: []int{2, 3}}, nil))
 	ctx := context.Background()
 	cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}}, store.ScanStrict())
 	if err != nil {
@@ -296,7 +311,7 @@ func TestCursorStrictFailsOnDarkPage(t *testing.T) {
 // context's error, with no fabricated batch.
 func TestCursorContextCanceled(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 1200, 11, store.Config{PageSize: 4, Fanout: 4})
+	_, _, st := buildStore(t, u, "z", 1200, 11, store.WithPageSize(4), store.WithFanout(4))
 	cur, err := st.ScanCursor([]query.Interval{{Lo: 0, Hi: u.N()}})
 	if err != nil {
 		t.Fatal(err)
@@ -314,15 +329,48 @@ func TestCursorContextCanceled(t *testing.T) {
 }
 
 // TestCursorRejectsUnsortedIntervals: the watermark contract needs sorted,
-// disjoint intervals, so the constructor enforces them.
+// disjoint intervals, so every scan entry point — both cursors and both
+// Scans, which drain them — rejects unsorted, overlapping or inverted ones.
 func TestCursorRejectsUnsortedIntervals(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "z", 100, 11, store.Config{PageSize: 4, Fanout: 4})
-	if _, err := st.ScanCursor([]query.Interval{{Lo: 10, Hi: 20}, {Lo: 5, Hi: 9}}); err == nil {
-		t.Fatal("unsorted intervals accepted")
+	c, recs, st := buildStore(t, u, "z", 100, 11, store.WithPageSize(4), store.WithFanout(4))
+	d, err := store.OpenDurable(t.TempDir(), c, store.WithDurablePageSize(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.ScanCursor([]query.Interval{{Lo: 20, Hi: 10}}); err == nil {
-		t.Fatal("inverted interval accepted")
+	defer d.Close()
+	ctx := context.Background()
+	if err := d.Bulkload(ctx, recs); err != nil {
+		t.Fatal(err)
+	}
+	scans := map[string]func([]query.Interval) error{
+		"Store.ScanCursor": func(ivs []query.Interval) error {
+			cur, err := st.ScanCursor(ivs)
+			if err == nil {
+				cur.Close()
+			}
+			return err
+		},
+		"Store.Scan": func(ivs []query.Interval) error { _, err := st.Scan(ctx, ivs); return err },
+		"Durable.ScanCursor": func(ivs []query.Interval) error {
+			cur, err := d.ScanCursor(ivs)
+			if err == nil {
+				cur.Close()
+			}
+			return err
+		},
+		"Durable.Scan": func(ivs []query.Interval) error { _, err := d.Scan(ctx, ivs); return err },
+	}
+	for name, scan := range scans {
+		if err := scan([]query.Interval{{Lo: 10, Hi: 20}, {Lo: 5, Hi: 9}}); err == nil {
+			t.Fatalf("%s: unsorted intervals accepted", name)
+		}
+		if err := scan([]query.Interval{{Lo: 10, Hi: 20}, {Lo: 15, Hi: 30}}); err == nil {
+			t.Fatalf("%s: overlapping intervals accepted", name)
+		}
+		if err := scan([]query.Interval{{Lo: 20, Hi: 10}}); err == nil {
+			t.Fatalf("%s: inverted interval accepted", name)
+		}
 	}
 }
 
@@ -331,7 +379,7 @@ func TestCursorRejectsUnsortedIntervals(t *testing.T) {
 // streaming hot path.
 func TestCursorNextAllocs(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	_, _, st := buildStore(t, u, "hilbert", 8000, 5, store.Config{PageSize: 8, Fanout: 4})
+	_, _, st := buildStore(t, u, "hilbert", 8000, 5, store.WithPageSize(8), store.WithFanout(4))
 	ivs := []query.Interval{{Lo: 0, Hi: u.N()}}
 	ctx := context.Background()
 	cur, err := st.ScanCursor(ivs, store.ScanBatchSize(64))

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/store"
 )
 
-func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, cfg store.Config) (curve.Curve, []store.Record, *store.Store) {
+func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, opts ...store.Option) (curve.Curve, []store.Record, *store.Store) {
 	t.Helper()
 	c, err := curve.ByName(name, u, seed)
 	if err != nil {
@@ -28,7 +29,7 @@ func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, 
 		}
 		recs[i] = store.Record{Point: p, Payload: uint64(i)}
 	}
-	st, err := store.Bulkload(c, recs, cfg)
+	st, err := store.Bulkload(c, recs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,40 +37,39 @@ func buildStore(t *testing.T, u *grid.Universe, name string, n int, seed int64, 
 }
 
 // TestDegradedZeroOverheadProperty is the zero-overhead guarantee: with the
-// injector disabled (and with no injector at all), RangeQueryDegraded
-// returns byte-identical records and identical Stats to RangeQuery, across
-// curves, page geometries and query boxes.
+// injector disabled (and with no injector at all), a degraded ScanBox
+// returns byte-identical records and identical Stats to a strict one,
+// across curves, page geometries and query boxes.
 func TestDegradedZeroOverheadProperty(t *testing.T) {
 	u := grid.MustNew(2, 5)
 	rng := rand.New(rand.NewSource(99))
+	ctx := context.Background()
 	for _, name := range curve.Names() {
 		for _, ps := range []int{2, 8, 64} {
-			_, _, st := buildStore(t, u, name, 1500, 17, store.Config{PageSize: ps, Fanout: 4})
+			opts := []store.Option{store.WithPageSize(ps), store.WithFanout(4)}
 			// Half the configurations also get a disabled injector in the
 			// read path, so the wrapper itself is covered.
 			if ps != 8 {
-				inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 5})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := st.SetDevice(inj); err != nil {
-					t.Fatal(err)
-				}
+				opts = append(opts, withInjector(faultio.Config{Seed: 5}, nil))
 			}
+			_, _, st := buildStore(t, u, name, 1500, 17, opts...)
 			for q := 0; q < 8; q++ {
 				b := randomTestBox(rng, u)
 				st.ResetStats()
-				strict, err := st.RangeQuery(b)
+				strict, err := st.ScanBox(ctx, b, store.ScanStrict())
 				if err != nil {
 					t.Fatalf("%s ps=%d: strict query failed without faults: %v", name, ps, err)
 				}
 				strictStats := st.Stats()
 				st.ResetStats()
-				deg := st.RangeQueryDegraded(b)
+				deg, err := st.ScanBox(ctx, b)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !deg.Complete() {
 					t.Fatalf("%s ps=%d: %d dark intervals without faults", name, ps, len(deg.Unavailable))
 				}
-				if !reflect.DeepEqual(strict, deg.Records) {
+				if !reflect.DeepEqual(strict.Records, deg.Records) {
 					t.Fatalf("%s ps=%d: degraded records differ from strict", name, ps)
 				}
 				if got := st.Stats(); got != strictStats {
@@ -78,6 +78,18 @@ func TestDegradedZeroOverheadProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withInjector routes the store's leaf reads through a fault injector over
+// its default device; when inj is non-nil it receives the injector.
+func withInjector(cfg faultio.Config, inj **faultio.Injector) store.Option {
+	return store.WithDeviceWrapper(func(d store.PageDevice) (store.PageDevice, error) {
+		w, err := faultio.Wrap(d, cfg)
+		if inj != nil {
+			*inj = w
+		}
+		return w, err
+	})
 }
 
 func randomTestBox(rng *rand.Rand, u *grid.Universe) query.Box {
@@ -103,35 +115,29 @@ func randomTestBox(rng *rand.Rand, u *grid.Universe) query.Box {
 // the dark intervals stay within the box's curve footprint.
 func TestDegradedLostPages(t *testing.T) {
 	u := grid.MustNew(2, 5)
-	c, recs, st := buildStore(t, u, "hilbert", 2000, 3, store.Config{PageSize: 8, Fanout: 4})
-	lost := []int{0, 7, 8, 31, st.NumPages() - 1}
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 1, LostPages: lost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	var lost []int
+	c, recs, st := buildStore(t, u, "hilbert", 2000, 3, store.WithPageSize(8), store.WithFanout(4),
+		store.WithDeviceWrapper(func(d store.PageDevice) (store.PageDevice, error) {
+			lost = []int{0, 7, 8, 31, d.NumPages() - 1}
+			return faultio.Wrap(d, faultio.Config{Seed: 1, LostPages: lost})
+		}))
 	full, err := query.NewBox(u, u.NewPoint(), u.MustPoint(u.Side()-1, u.Side()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RangeQuery(full); !errors.Is(err, store.ErrPageUnavailable) {
+	ctx := context.Background()
+	if _, err := st.ScanBox(ctx, full, store.ScanStrict()); !errors.Is(err, store.ErrPageUnavailable) {
 		t.Fatalf("strict query over lost pages: err = %v, want ErrPageUnavailable", err)
 	}
 	st.ResetStats()
-	res := st.RangeQueryDegraded(full)
+	res, err := st.ScanBox(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Complete() {
 		t.Fatal("query over lost pages reported complete")
 	}
-	dark := func(key uint64) bool {
-		for _, iv := range res.Unavailable {
-			if key >= iv.Lo && key < iv.Hi {
-				return true
-			}
-		}
-		return false
-	}
+	dark := func(key uint64) bool { return query.IntervalsContain(res.Unavailable, key) }
 	want := 0
 	for _, r := range recs {
 		if !dark(c.Index(r.Point)) {
@@ -162,19 +168,17 @@ func TestDegradedLostPages(t *testing.T) {
 // retried, and ultimately reported unavailable rather than served wrong.
 func TestChecksumCatchesCorruption(t *testing.T) {
 	u := grid.MustNew(2, 4)
-	_, _, st := buildStore(t, u, "z", 600, 9, store.Config{PageSize: 8, Fanout: 4})
-	inj, err := faultio.Wrap(st.DefaultDevice(), faultio.Config{Seed: 2, CorruptProb: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetDevice(inj); err != nil {
-		t.Fatal(err)
-	}
+	var inj *faultio.Injector
+	_, _, st := buildStore(t, u, "z", 600, 9, store.WithPageSize(8), store.WithFanout(4),
+		withInjector(faultio.Config{Seed: 2, CorruptProb: 1}, &inj))
 	full, err := query.NewBox(u, u.NewPoint(), u.MustPoint(u.Side()-1, u.Side()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := st.RangeQueryDegraded(full)
+	res, err := st.ScanBox(context.Background(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Records) != 0 {
 		t.Fatalf("%d records served despite always-corrupting device", len(res.Records))
 	}
@@ -187,24 +191,30 @@ func TestChecksumCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestSetDeviceValidation covers the device plumbing error paths.
+// TestSetDeviceValidation covers the device and retry-policy error paths
+// of the Bulkload options.
 func TestSetDeviceValidation(t *testing.T) {
 	u := grid.MustNew(2, 3)
-	_, _, st := buildStore(t, u, "z", 100, 1, store.Config{PageSize: 4, Fanout: 4})
-	if err := st.SetDevice(nil); err == nil {
+	c, recs, _ := buildStore(t, u, "z", 100, 1, store.WithPageSize(4), store.WithFanout(4))
+	bulk := func(opts ...store.Option) error {
+		_, err := store.Bulkload(c, recs, append([]store.Option{store.WithPageSize(4), store.WithFanout(4)}, opts...)...)
+		return err
+	}
+	if err := bulk(store.WithDevice(nil)); err == nil {
 		t.Fatal("nil device accepted")
 	}
-	_, _, other := buildStore(t, u, "z", 10, 1, store.Config{PageSize: 4, Fanout: 4})
-	if err := st.SetDevice(other.DefaultDevice()); err == nil {
+	_, _, other := buildStore(t, u, "z", 10, 1, store.WithPageSize(4), store.WithFanout(4))
+	if err := bulk(store.WithDevice(other.DefaultDevice())); err == nil {
 		t.Fatal("mismatched device accepted")
 	}
-	if err := st.SetDevice(st.DefaultDevice()); err != nil {
+	_, _, twin := buildStore(t, u, "z", 100, 1, store.WithPageSize(4), store.WithFanout(4))
+	if err := bulk(store.WithDevice(twin.DefaultDevice())); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SetRetryPolicy(store.RetryPolicy{MaxAttempts: -1}); err == nil {
+	if err := bulk(store.WithRetryPolicy(store.RetryPolicy{MaxAttempts: -1})); err == nil {
 		t.Fatal("negative MaxAttempts accepted")
 	}
-	if err := st.SetRetryPolicy(store.RetryPolicy{MaxAttempts: 2}); err != nil {
+	if err := bulk(store.WithRetryPolicy(store.RetryPolicy{MaxAttempts: 2})); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -537,10 +537,7 @@ func shadow[T any](acc []T, tombKeys []uint64, tombs []Record, id func(T) (uint6
 	if len(tombs) == 0 || len(acc) == 0 {
 		return acc
 	}
-	dead := make(map[[2]uint64]bool, len(tombs))
-	for i, tk := range tombKeys {
-		dead[[2]uint64{tk, tombs[i].Payload}] = true
-	}
+	dead := tombSet(tombKeys, tombs)
 	kept := acc[:0]
 	for _, el := range acc {
 		k, p := id(el)
@@ -558,56 +555,13 @@ func shadow[T any](acc []T, tombKeys []uint64, tombs []Record, id func(T) (uint6
 // intervals is reported, and records whose keys fall inside it are withheld
 // even when some run could serve them — so Records plus Unavailable tile
 // the scanned intervals exactly, the same contract a single store gives.
+// Like Store.Scan it is a drained ScanCursor.
 func (d *Durable) Scan(ctx context.Context, ivs []query.Interval, opts ...ScanOption) (ScanResult, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ScanResult{}, ErrClosed
+	cur, err := d.ScanCursor(ivs, opts...)
+	if err != nil {
+		return ScanResult{}, err
 	}
-	snapshot := d.runs[:len(d.runs):len(d.runs)]
-	puts, tombs := d.mem.Sorted()
-	d.mu.Unlock()
-
-	type keyed struct {
-		key uint64
-		rec Record
-	}
-	var acc []keyed
-	var dark []query.Interval
-	pagesRead := 0
-	for _, r := range snapshot {
-		res, err := r.st.Scan(ctx, ivs, opts...)
-		pagesRead += res.PagesRead
-		if err != nil {
-			return ScanResult{PagesRead: pagesRead}, err
-		}
-		dark = append(dark, res.Unavailable...)
-		acc = shadow(acc, r.tombKeys, r.tombs, func(k keyed) (uint64, uint64) { return k.key, k.rec.Payload })
-		for _, rec := range res.Records {
-			acc = append(acc, keyed{d.c.Index(rec.Point), rec})
-		}
-	}
-	memTombKeys := make([]uint64, len(tombs))
-	memTombs := make([]Record, len(tombs))
-	for i, e := range tombs {
-		memTombKeys[i], memTombs[i] = e.Key, Record{Point: grid.Point(e.Point), Payload: e.Payload}
-	}
-	acc = shadow(acc, memTombKeys, memTombs, func(k keyed) (uint64, uint64) { return k.key, k.rec.Payload })
-	for _, e := range puts {
-		if query.IntervalsContain(ivs, e.Key) {
-			acc = append(acc, keyed{e.Key, Record{Point: grid.Point(e.Point).Clone(), Payload: e.Payload}})
-		}
-	}
-	dark = query.MergeIntervals(dark)
-	sort.SliceStable(acc, func(a, b int) bool { return acc[a].key < acc[b].key })
-	out := make([]Record, 0, len(acc))
-	for _, k := range acc {
-		if query.IntervalsContain(dark, k.key) {
-			continue
-		}
-		out = append(out, k.rec)
-	}
-	return ScanResult{Records: out, Unavailable: dark, PagesRead: pagesRead}, nil
+	return collect(ctx, cur)
 }
 
 // ScanBox decomposes the box through the store's curve and scans it.

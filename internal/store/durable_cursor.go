@@ -11,11 +11,10 @@ import (
 
 // ScanCursor opens an incremental scan over the merged store: a k-way
 // merge of one cursor per run (oldest first) plus the memtable, newest
-// shadowing oldest through tombstones, exactly like Scan. Draining it is
-// bit-identical to Scan over the same snapshot: same records in the same
-// order (stable on key ties: oldest run first, memtable puts last), same
-// merged dark tiling with records inside it withheld even when some run
-// could serve them, same summed PagesRead.
+// shadowing oldest through tombstones; Scan is this cursor drained. Records
+// arrive in key order, stable on key ties (oldest run first, memtable puts
+// last); records inside the merged dark tiling are withheld even when some
+// run could serve them; PagesRead sums over the runs.
 //
 // The snapshot is taken at open: writes landing after ScanCursor returns
 // are not observed. The cursor stays valid across concurrent flushes and
@@ -72,7 +71,7 @@ func (d *Durable) ScanCursor(ivs []query.Interval, opts ...ScanOption) (BatchCur
 }
 
 // tombSet builds the (key, payload) identity set of one source's
-// tombstones — the same projection Scan's shadow uses. Key equality
+// tombstones — the projection compaction's shadow uses too. Key equality
 // implies point equality (the curve is a bijection).
 func tombSet(tombKeys []uint64, tombs []Record) map[[2]uint64]bool {
 	if len(tombs) == 0 {

@@ -2,7 +2,7 @@ package store
 
 import (
 	"context"
-	"sort"
+	"io"
 
 	"repro/internal/query"
 )
@@ -12,9 +12,7 @@ import (
 // part it could not serve.
 type ScanResult struct {
 	// Records holds the readable records whose curve keys lie in the
-	// scanned intervals, in curve-interval scan order (ascending curve key
-	// within each interval, intervals in the given order — globally
-	// ascending when the input is sorted).
+	// scanned intervals, in ascending curve key order.
 	Records []Record
 	// Unavailable lists the curve-index intervals the store could not
 	// serve: sorted, disjoint, merged, and each contained in one of the
@@ -61,7 +59,7 @@ func ScanStrict() ScanOption {
 // ScanBatchSize sets the record count a ScanCursor targets per batch
 // (default DefaultScanBatch). A batch ends only on a page boundary, so a
 // run of duplicate keys can overshoot the target by up to a page. Values
-// below 1 are ignored; Scan itself ignores the option entirely.
+// below 1 are ignored. The batch size never changes a drained result.
 func ScanBatchSize(n int) ScanOption {
 	return scanOptionFunc(func(c *scanConfig) {
 		if n >= 1 {
@@ -73,7 +71,7 @@ func ScanBatchSize(n int) ScanOption {
 // Scan is the store's single query entry point: it scans the given sorted,
 // disjoint curve intervals (as produced by query.DecomposeBox or a shared
 // decomposition cache) and returns the records whose keys they contain, in
-// curve order.
+// curve order. Unsorted, overlapping or inverted intervals are rejected.
 //
 // Cancellation and deadline are honored between leaf page reads, so a scan
 // over many pages stops within one page fetch of ctx ending; a canceled
@@ -87,78 +85,14 @@ func ScanBatchSize(n int) ScanOption {
 // byte-identical records and charge identical Stats — degraded mode costs
 // nothing when nothing fails.
 //
-// The deprecated Range* methods are thin wrappers over Scan; new callers —
-// the sharded service and the network daemon above it — use Scan directly.
+// Scan is a drained ScanCursor, so the buffered and streaming paths share
+// one page loop and one dark-interval accounting.
 func (st *Store) Scan(ctx context.Context, ivs []query.Interval, opts ...ScanOption) (ScanResult, error) {
-	var cfg scanConfig
-	for _, opt := range opts {
-		if opt != nil {
-			opt.applyScan(&cfg)
-		}
+	cur, err := st.ScanCursor(ivs, opts...)
+	if err != nil {
+		return ScanResult{}, err
 	}
-	cache := newPageCache(st)
-	type span struct {
-		iv     query.Interval
-		lo, hi int // slot range [lo, hi) of records inside iv
-	}
-	spans := make([]span, 0, len(ivs))
-	// Pass 1: locate each interval's slot range and fetch every page the
-	// scan touches, in scan order, collecting the dark key spans of failed
-	// pages (or failing fast under ScanStrict).
-	var dark []query.Interval
-	for _, iv := range ivs {
-		lo := st.descend(iv.Lo)
-		hi := lo + sort.Search(len(st.keys)-lo, func(i int) bool { return st.keys[lo+i] >= iv.Hi })
-		spans = append(spans, span{iv: iv, lo: lo, hi: hi})
-		if lo == hi {
-			continue
-		}
-		for page := lo / st.pageSize; page <= (hi-1)/st.pageSize; page++ {
-			if err := ctx.Err(); err != nil {
-				return ScanResult{PagesRead: cache.pagesRead()}, err
-			}
-			if _, err := cache.get(page); err != nil {
-				if cfg.strict {
-					return ScanResult{PagesRead: cache.pagesRead()}, err
-				}
-				ks := st.pageKeySpan(page)
-				if ks.Lo < iv.Lo {
-					ks.Lo = iv.Lo
-				}
-				if ks.Hi > iv.Hi {
-					ks.Hi = iv.Hi
-				}
-				if ks.Lo < ks.Hi {
-					dark = append(dark, ks)
-				}
-			}
-		}
-	}
-	dark = query.MergeIntervals(dark)
-	// Pass 2: collect records, skipping dark pages and any record whose key
-	// falls in a dark interval (duplicate keys straddling a page boundary
-	// are only partially readable, so the whole key goes dark).
-	var out []Record
-	cur := -1 // memoize the scan's current page: pages arrive consecutively
-	var pg Page
-	var pgErr error
-	for _, sp := range spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			if id := i / st.pageSize; id != cur {
-				pg, pgErr = cache.get(id)
-				cur = id
-			}
-			if pgErr != nil || query.IntervalsContain(dark, st.keys[i]) {
-				continue
-			}
-			out = append(out, pg.Records[i%st.pageSize])
-		}
-	}
-	return ScanResult{
-		Records:     out,
-		Unavailable: dark,
-		PagesRead:   cache.pagesRead(),
-	}, nil
+	return collect(ctx, cur)
 }
 
 // ScanBox decomposes the box through the store's curve and scans it — the
@@ -168,6 +102,25 @@ func (st *Store) ScanBox(ctx context.Context, b query.Box, opts ...ScanOption) (
 	return st.Scan(ctx, query.DecomposeBox(st.c, b), opts...)
 }
 
-// pagesRead counts the distinct pages this cache touched, dark ones
-// included.
-func (pc *pageCache) pagesRead() int { return len(pc.pages) + len(pc.failed) }
+// collect drains cur into one ScanResult — the records in cursor order, the
+// merged union of the per-batch dark deltas, and the summed page charges —
+// and closes it. A failed scan returns the zero ScanResult: PagesRead is not
+// reported for a scan that did not finish.
+func collect(ctx context.Context, cur BatchCursor) (ScanResult, error) {
+	defer cur.Close()
+	var res ScanResult
+	for {
+		b, err := cur.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return ScanResult{}, err
+		}
+		res.Records = append(res.Records, b.Records...)
+		res.Unavailable = append(res.Unavailable, b.Dark...)
+		res.PagesRead += b.PagesRead
+	}
+	res.Unavailable = query.MergeIntervals(res.Unavailable)
+	return res, nil
+}

@@ -14,15 +14,14 @@
 // Leaf pages are fetched through a pluggable PageDevice. The default device
 // is infallible RAM; installing a fallible device (see internal/faultio)
 // turns on per-page checksum verification and bounded retry with
-// exponential backoff, and RangeQueryDegraded answers queries even when
-// pages stay dark — returning the records it could read plus the exact
+// exponential backoff, and Scan (degraded by default) answers queries even
+// when pages stay dark — returning the records it could read plus the exact
 // curve intervals it could not serve. On a proximity-preserving curve a
 // lost page owns a contiguous curve segment, so that report stays short;
 // its size is itself a locality metric.
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -31,7 +30,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/grid"
-	"repro/internal/query"
 )
 
 // ErrPageUnavailable is the sentinel wrapped by every error reporting a leaf
@@ -133,8 +131,7 @@ type Store struct {
 // Bulkload builds a store over the records through the given curve. The
 // input is not retained; records may share cells. Geometry, device and retry
 // policy are set by functional options (WithPageSize, WithFanout,
-// WithDevice, WithDeviceWrapper, WithRetryPolicy); the legacy Config struct
-// also satisfies Option, so pre-option call sites compile unchanged.
+// WithDevice, WithDeviceWrapper, WithRetryPolicy).
 func Bulkload(c curve.Curve, recs []Record, opts ...Option) (*Store, error) {
 	cfg := buildConfig{pageSize: 64, fanout: 64}
 	for _, opt := range opts {
@@ -251,9 +248,8 @@ func (st *Store) ResetStats() { st.stats.reset() }
 // Device returns the page device leaf reads currently go through.
 func (st *Store) Device() PageDevice { return st.device }
 
-// DefaultDevice returns the trusted in-memory device built at bulkload, so
-// a fallible device installed with WithDevice/SetDevice can be removed
-// again.
+// DefaultDevice returns the trusted in-memory device built at bulkload —
+// the device a WithDeviceWrapper wrapper receives.
 func (st *Store) DefaultDevice() PageDevice { return st.mem }
 
 // setDevice routes leaf reads through dev. Installing any device other than
@@ -272,13 +268,6 @@ func (st *Store) setDevice(dev PageDevice) error {
 	return nil
 }
 
-// SetDevice routes leaf reads through dev. Not safe to call concurrently
-// with queries — install devices before serving.
-//
-// Deprecated: prefer the WithDevice or WithDeviceWrapper Bulkload options,
-// which configure the device before the store is ever queried.
-func (st *Store) SetDevice(dev PageDevice) error { return st.setDevice(dev) }
-
 // setRetryPolicy replaces the retry policy used for fallible devices.
 // Zero fields take their defaults.
 func (st *Store) setRetryPolicy(rp RetryPolicy) error {
@@ -289,12 +278,6 @@ func (st *Store) setRetryPolicy(rp RetryPolicy) error {
 	st.retry = rp
 	return nil
 }
-
-// SetRetryPolicy replaces the retry policy used for fallible devices. Not
-// safe to call concurrently with queries.
-//
-// Deprecated: prefer the WithRetryPolicy Bulkload option.
-func (st *Store) SetRetryPolicy(rp RetryPolicy) error { return st.setRetryPolicy(rp) }
 
 // fetchPage reads one leaf page through the device, retrying transient
 // failures and checksum rejections up to the retry budget with simulated
@@ -365,49 +348,6 @@ func (st *Store) descend(target uint64) int {
 	// fanout is large and the path touches one node per level.)
 	st.stats.innerReads.Add(int64(len(st.levels)))
 	return sort.Search(len(st.keys), func(i int) bool { return st.keys[i] >= target })
-}
-
-// RangeQuery returns all records inside the box, charging one descent per
-// curve interval and one leaf read per distinct leaf page touched. It is
-// strict: the first page that stays unavailable after the retry budget
-// fails the whole query (errors.Is(err, ErrPageUnavailable)). Use
-// RangeQueryDegraded to get partial results with an explicit report of the
-// unserved curve intervals instead.
-//
-// Deprecated: use ScanBox with ScanStrict.
-func (st *Store) RangeQuery(b query.Box) ([]Record, error) {
-	return st.RangeContext(context.Background(), b)
-}
-
-// RangeContext is RangeQuery honoring a context: cancellation and deadline
-// are checked between leaf page reads, so a query over many pages stops
-// within one page fetch of the context ending.
-//
-// Deprecated: use ScanBox with ScanStrict.
-func (st *Store) RangeContext(ctx context.Context, b query.Box) ([]Record, error) {
-	return st.RangeIntervals(ctx, query.DecomposeBox(st.c, b))
-}
-
-// RangeIntervals answers a pre-decomposed strict query over sorted,
-// disjoint curve intervals and returns the records whose keys they contain,
-// in curve order.
-//
-// Deprecated: use Scan with ScanStrict.
-func (st *Store) RangeIntervals(ctx context.Context, ivs []query.Interval) ([]Record, error) {
-	res, err := st.Scan(ctx, ivs, ScanStrict())
-	if err != nil {
-		return nil, err
-	}
-	return res.Records, nil
-}
-
-// BoxQuery is the historical entry point: it answers the box query in
-// degraded mode and returns just the records. With the default in-memory
-// device reads cannot fail and BoxQuery is exactly RangeQuery; with a
-// fallible device, records on dark pages are omitted — callers that need
-// to know *which* curve intervals went dark must use RangeQueryDegraded.
-func (st *Store) BoxQuery(b query.Box) []Record {
-	return st.RangeQueryDegraded(b).Records
 }
 
 // PointQuery returns the records stored exactly at p, charging one descent

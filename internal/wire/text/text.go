@@ -1,7 +1,8 @@
 // Package text is the daemon's text codec: the query-string forms of
-// points and curve intervals that the HTTP/JSON endpoints, the cluster
-// router, and the bench tool all speak. It is the one place the text wire
-// forms are defined — internal/wire holds the binary equivalents.
+// points and curve intervals, and the JSON request and response bodies,
+// that the HTTP/JSON endpoints, the client, the cluster router, and the
+// bench tool all speak. It is the one place the text wire forms are
+// defined — internal/wire holds the binary equivalents.
 package text
 
 import (
